@@ -1,16 +1,18 @@
 """Derivations, Rankin-Cohen brackets, transvectants and stability checks.
 
-The two primitive derivations extend generator-image tables by the Leibniz
-rule:
+Every derivation but ``DELTA`` extends a generator-image table by the
+Leibniz rule (:func:`qjforms.forms.leibniz`).  The two primitive ones:
 
 * ``DZ`` (elliptic, weight +1): wp -> dwp, dwp -> 6wp^2 - 30e4, e4 -> 0,
   e1 -> -wp - e2, e2 -> 0.
 * ``DTAU`` (modular, weight +2): the normalized (pi/2i) d/dtau, whose
   generator images are the rational combinations below.
 
-``OB`` is 4*DTAU + e1*DZ - (weight)*e2, applied per weight component; its
-restriction to the modular subalgebra is the Serre derivation.  ``DJAC`` is
-DTAU + (1/4)e1*DZ and ``DELTA`` multiplies a weight-k component by k/2.
+``OB`` is 4*DTAU + e1*DZ - (weight)*e2, whose generator images are
+4*dtau(x) + e1*dz(x) - w(x)*e2*x; its restriction to the modular subalgebra
+is the Serre derivation.  ``DJAC`` is DTAU + (1/4)e1*DZ, with images
+dtau(x) + (1/4)*e1*dz(x).  ``DELTA`` is diagonal: it multiplies a weight-k
+component by k/2.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from .forms import (
     E1,
     E2,
     E4,
+    GENERATOR_WEIGHTS,
     WP,
     ZERO,
     Algebra,
-    Exponents,
     QJForm,
     e6_form,
+    image_table,
+    leibniz,
     member,
 )
 
@@ -64,6 +68,7 @@ _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
 # Generator images, indexed like the exponent tuple (wp, dwp, e4, e1, e2).
+_GENERATORS = (WP, DWP, E4, E1, E2)
 _DZ_IMAGES = (
     DWP,
     6 * WP**2 - 30 * E4,
@@ -78,56 +83,33 @@ _DTAU_IMAGES = (
     _QUARTER * (E1 * E2 + WP * E1 + _HALF * DWP),
     _QUARTER * (E2**2 - 5 * E4),
 )
+# ob(x) = 4*dtau(x) + e1*dz(x) - w(x)*e2*x and d(x) = dtau(x) + (1/4)*e1*dz(x)
+# on each generator x; the Leibniz rule then gives the weight term k*e2*f.
+_OB_IMAGES = tuple(
+    4 * t + E1 * z - w * (E2 * x)
+    for t, z, w, x in zip(_DTAU_IMAGES, _DZ_IMAGES, GENERATOR_WEIGHTS, _GENERATORS)
+)
+_DJAC_IMAGES = tuple(t + _QUARTER * (E1 * z) for t, z in zip(_DTAU_IMAGES, _DZ_IMAGES))
 
-
-def _leibniz(images: tuple[QJForm, ...], f: QJForm) -> QJForm:
-    out: dict[Exponents, Fraction] = {}
-    for expos, coeff in f._terms.items():
-        for gi in range(5):
-            p = expos[gi]
-            if not p:
-                continue
-            img = images[gi]
-            if not img:
-                continue
-            scaled = coeff * p
-            base = list(expos)
-            base[gi] = p - 1
-            b0, b1, b2, b3, b4 = base
-            for iexp, icoeff in img._terms.items():
-                key = (b0 + iexp[0], b1 + iexp[1], b2 + iexp[2], b3 + iexp[3], b4 + iexp[4])
-                acc = out.get(key, 0) + scaled * icoeff
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-    return QJForm._raw(out)
+_TABLES = {
+    Derivation.DZ: image_table(_DZ_IMAGES),
+    Derivation.DTAU: image_table(_DTAU_IMAGES),
+    Derivation.OB: image_table(_OB_IMAGES),
+    Derivation.DJAC: image_table(_DJAC_IMAGES),
+}
 
 
 def derive(tag: Derivation, f: QJForm) -> QJForm:
     """Apply one of the five derivations to an arbitrary form."""
-    if tag is Derivation.DZ:
-        return _leibniz(_DZ_IMAGES, f)
-    if tag is Derivation.DTAU:
-        return _leibniz(_DTAU_IMAGES, f)
-    if tag is Derivation.DJAC:
-        return derive(Derivation.DTAU, f) + _QUARTER * (E1 * derive(Derivation.DZ, f))
     if tag is Derivation.DELTA:
         out = ZERO
         for k, comp in f.weight_components():
             out = out + Fraction(k, 2) * comp
         return out
-    if tag is Derivation.OB:
-        out = ZERO
-        for k, comp in f.weight_components():
-            out = (
-                out
-                + 4 * derive(Derivation.DTAU, comp)
-                + E1 * derive(Derivation.DZ, comp)
-                - k * (E2 * comp)
-            )
-        return out
-    raise ValueError(f"unknown derivation {tag!r}")
+    table = _TABLES.get(tag)
+    if table is None:
+        raise ValueError(f"unknown derivation {tag!r}")
+    return leibniz(table, f)
 
 
 def _tower(d: Derivation, f: QJForm, n: int) -> list[QJForm]:

@@ -59,8 +59,8 @@ def _emit(args: argparse.Namespace, result, text: str, ok: bool = True, errors: 
     return 0 if ok else 1
 
 
-def _eval_expression(text: str) -> QJForm | ScaledJForm:
-    return parse_and_evaluate(text)
+class UsageError(ValueError):
+    """A command line that the README's usage does not allow (exit 2)."""
 
 
 def _require_plain_form(value: QJForm | ScaledJForm, command: str) -> QJForm:
@@ -70,14 +70,14 @@ def _require_plain_form(value: QJForm | ScaledJForm, command: str) -> QJForm:
 
 
 def _cmd_eval(args) -> int:
-    value = _eval_expression(args.expr)
+    value = parse_and_evaluate(args.expr)
     if isinstance(value, ScaledJForm):
         return _emit(args, _scaled_json(value), str(value))
     return _emit(args, _form_json(value), str(value))
 
 
 def _cmd_weight(args) -> int:
-    form = _require_plain_form(_eval_expression(args.expr), "weight")
+    form = _require_plain_form(parse_and_evaluate(args.expr), "weight")
     comps = form.weight_components()
     if not comps:
         raise EvalError("the zero form has no weight")
@@ -86,7 +86,7 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_depth(args) -> int:
-    form = _require_plain_form(_eval_expression(args.expr), "depth")
+    form = _require_plain_form(parse_and_evaluate(args.expr), "depth")
     profile = form.depth()
     return _emit(args, {"s1": profile.s1, "s2": profile.s2}, f"({profile.s1}, {profile.s2})")
 
@@ -95,7 +95,7 @@ def _cmd_member(args) -> int:
     algebra = _ALGEBRAS.get(args.algebra.lower())
     if algebra is None:
         raise EvalError(f"unknown algebra {args.algebra!r}; choose from {', '.join(a.value for a in Algebra)}")
-    form = _require_plain_form(_eval_expression(args.expr), "member")
+    form = _require_plain_form(parse_and_evaluate(args.expr), "member")
     verdict = member(form, algebra)
     return _emit(args, verdict, "true" if verdict else "false")
 
@@ -103,7 +103,7 @@ def _cmd_member(args) -> int:
 def _parse_family(name: str) -> DimFamily:
     family = _FAMILIES.get(name.lower())
     if family is None:
-        raise EvalError(f"unknown family {name!r}; choose from {', '.join(f.value for f in DimFamily)}")
+        raise UsageError(f"unknown family {name!r}; choose from {', '.join(f.value for f in DimFamily)}")
     return family
 
 
@@ -111,33 +111,43 @@ def _cmd_dim(args) -> int:
     parts = args.parts
     if parts and parts[0].lower() == "table":
         if len(parts) != 3:
-            raise EvalError("usage: dim table FAMILY KMAX")
+            raise UsageError("usage: dim table FAMILY KMAX")
         family = _parse_family(parts[1])
         kmax = _parse_int(parts[2], "KMAX")
         values = [dim_closed(family, k) for k in range(kmax + 1)]
         text = "\n".join(f"{k}\t{v}" for k, v in enumerate(values))
         return _emit(args, values, text)
     if len(parts) != 2:
-        raise EvalError("usage: dim FAMILY K  |  dim table FAMILY KMAX")
+        raise UsageError("usage: dim FAMILY K  |  dim table FAMILY KMAX")
     family = _parse_family(parts[0])
     k = _parse_int(parts[1], "K")
     value = dim_closed(family, k)
     return _emit(args, value, str(value))
 
 
-def _parse_int(text: str, role: str) -> int:
+def _parse_int(text: str, role: str, minimum: int | None = 0) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise EvalError(f"{role} must be an integer, got {text!r}") from None
-    if value < 0:
-        raise EvalError(f"{role} must be nonnegative")
+        raise UsageError(f"{role} must be an integer, got {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise UsageError(f"{role} must be at least {minimum}, got {value}")
     return value
 
 
+def _window_arg(flag_value: str | None, flag: str, env: str, default: int, minimum: int | None) -> int:
+    # The flag overrides the environment variable, which overrides the default.
+    if flag_value is not None:
+        return _parse_int(flag_value, flag, minimum)
+    env_value = os.environ.get(env)
+    return default if env_value is None else _parse_int(env_value, env, minimum)
+
+
 def _cmd_expand(args) -> int:
-    form = _require_plain_form(_eval_expression(args.expr), "expand")
-    series = expand(form, args.qprec, args.umax)
+    q_prec = _window_arg(args.qprec, "--qprec", "QJALG_QPREC", DEFAULT_QPREC, minimum=1)
+    u_max = _window_arg(args.umax, "--umax", "QJALG_UMAX", DEFAULT_UMAX, minimum=None)
+    form = _require_plain_form(parse_and_evaluate(args.expr), "expand")
+    series = expand(form, q_prec, u_max)
     lines = [f"weight {series.weight}, q_prec {series.q_prec}, u in [{series.u_val}, {series.u_max}]"]
     for (m, n), c in series.items():
         lines.append(f"q^{m} u^{n}\t{c}")
@@ -147,10 +157,11 @@ def _cmd_expand(args) -> int:
 def _cmd_bracket(args) -> int:
     tag = _BRACKETS.get(args.kind.lower())
     if tag is None:
-        raise EvalError(f"unknown bracket kind {args.kind!r}; choose rc, rcd or tv")
-    f = _require_plain_form(_eval_expression(args.f), "bracket")
-    g = _require_plain_form(_eval_expression(args.g), "bracket")
-    value = bracket(tag, f, g, args.n)
+        raise UsageError(f"unknown bracket kind {args.kind!r}; choose rc, rcd or tv")
+    n = _parse_int(args.n, "N")
+    f = _require_plain_form(parse_and_evaluate(args.f), "bracket")
+    g = _require_plain_form(parse_and_evaluate(args.g), "bracket")
+    value = bracket(tag, f, g, n)
     return _emit(args, _form_json(value), str(value))
 
 
@@ -208,19 +219,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("parts", nargs="+", metavar="ARG")
     p.set_defaults(func=_cmd_dim)
 
-    default_qprec = int(os.environ.get("QJALG_QPREC", DEFAULT_QPREC))
-    default_umax = int(os.environ.get("QJALG_UMAX", DEFAULT_UMAX))
     p = sub.add_parser("expand", help="bigraded series expansion of a homogeneous form")
     p.add_argument("expr")
-    p.add_argument("--qprec", type=int, default=default_qprec)
-    p.add_argument("--umax", type=int, default=default_umax)
+    p.add_argument("--qprec", help=f"q-precision, at least 1 (default: $QJALG_QPREC or {DEFAULT_QPREC})")
+    p.add_argument("--umax", help=f"top u-exponent (default: $QJALG_UMAX or {DEFAULT_UMAX})")
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("bracket", help="bracket {rc|rcd|tv} EXPR EXPR N")
     p.add_argument("kind")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("n", type=int)
+    p.add_argument("n")
     p.set_defaults(func=_cmd_bracket)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -240,11 +249,17 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2
+    except UsageError as exc:
+        return _fail(args, exc, 2)
     except (EvalError, PrecisionError, InconsistencyError, ValueError, ArithmeticError) as exc:
-        if args.json:
-            print(json.dumps({"ok": False, "result": None, "errors": [str(exc)]}))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(args, exc, 1)
+
+
+def _fail(args: argparse.Namespace, exc: Exception, code: int) -> int:
+    if args.json:
+        print(json.dumps({"ok": False, "result": None, "errors": [str(exc)]}))
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -122,7 +122,8 @@ def dim_brute(family: DimFamily, k: int) -> int:
         raise ValueError("weights are nonnegative")
     table = _brute_tables.get(family)
     if table is None or len(table) <= k:
-        size = max(k + 1, 256)
+        # Grow geometrically, so an ascending sweep rebuilds O(log k) times.
+        size = max(k + 1, 2 * len(table or ()), 256)
         table = [0] * size
         table[0] = 1
         for w in FAMILY_WEIGHTS[family]:

@@ -9,6 +9,19 @@ e1-exponent): the "modular" and "elliptic" depths.
 The weight-6 Eisenstein combination is not a generator: :func:`e6_form`
 returns its expression in wp, dwp, e4 and every operation that meets a
 weight-6 Eisenstein term eliminates it eagerly through that relation.
+
+Representation.  A form stores integer numerators over one positive
+denominator, as FLINT's ``fmpq_poly`` does, with no zero numerator and
+gcd(denominator, numerators) = 1, so equal forms have equal storage and
+each operation reduces by one gcd rather than one per term.  Monomials are
+packed into integer keys, after Monagan and Pearce's sparse multiplication:
+the exponents a, b, c, d, e fill fixed ``_FIELD_BITS``-bit fields, ``a``
+lowest and ``e`` highest.  A monomial product is then one integer addition,
+and the integer order of keys is the canonical depth-major order.  The top
+bit of each field is a guard, so exponents are limited to
+:data:`MAX_EXPONENT` (32767); an operation whose result would pass that
+raises ``ValueError`` instead of carrying into the next field.  ``terms()``
+and ``coefficient()`` still return ``Fraction`` coefficients.
 """
 
 from __future__ import annotations
@@ -16,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Union
+from functools import lru_cache, reduce
+from math import gcd, lcm
+from operator import or_
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .arith import binomial
 
@@ -26,6 +41,17 @@ Scalar = Union[int, Fraction]
 
 GENERATOR_WEIGHTS: Exponents = (2, 3, 4, 1, 2)
 GENERATOR_NAMES = ("wp", "dwp", "e4", "e1", "e2")
+
+# Packed monomial keys: one field per exponent, a in the lowest field.
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+MAX_EXPONENT = _FIELD_MASK >> 1
+_SHIFTS = tuple(_FIELD_BITS * i for i in range(5))
+_UNITS = tuple(1 << s for s in _SHIFTS)
+_GUARD = sum(1 << (s + _FIELD_BITS - 1) for s in _SHIFTS)
+_E1_SHIFT, _E2_SHIFT = _SHIFTS[3], _SHIFTS[4]
+_E1_FIELD = _FIELD_MASK << _E1_SHIFT
+_E2_FIELD = _FIELD_MASK << _E2_SHIFT
 
 
 class Generator(Enum):
@@ -61,43 +87,61 @@ def weight_of_exponents(expos: Exponents) -> int:
     return 2 * a + 3 * b + 4 * c + d + 2 * e
 
 
-def _order_key(expos: Exponents) -> tuple[int, int, int, int, int]:
-    # Depth-major ordering: lexicographic on (e, d, c, b, a).
+def _pack(expos: Iterable[int]) -> int:
+    expos = tuple(expos)
+    if len(expos) != 5 or any((not isinstance(p, int)) or p < 0 for p in expos):
+        raise ValueError(f"invalid exponent tuple {expos!r}")
+    if max(expos) > MAX_EXPONENT:
+        raise ValueError(f"exponent above {MAX_EXPONENT} in {expos!r}")
     a, b, c, d, e = expos
-    return (e, d, c, b, a)
+    return a | b << _SHIFTS[1] | c << _SHIFTS[2] | d << _E1_SHIFT | e << _E2_SHIFT
+
+
+def _unpack(key: int) -> Exponents:
+    m = _FIELD_MASK
+    return (key & m, key >> _SHIFTS[1] & m, key >> _SHIFTS[2] & m, key >> _E1_SHIFT & m, key >> _E2_SHIFT)
+
+
+def _key_weight(key: int) -> int:
+    return weight_of_exponents(_unpack(key))
+
+
+def _check_guard(num: dict[int, int]) -> dict[int, int]:
+    # Operand exponents are at most MAX_EXPONENT, so a sum of two fits in
+    # its field and sets the guard bit exactly when it overflows.
+    if reduce(or_, num, 0) & _GUARD:
+        raise ValueError(f"exponent above {MAX_EXPONENT} in a product")
+    return num
 
 
 class QJForm:
     """Exact polynomial in the five generators with rational coefficients.
 
-    Immutable value type: all arithmetic returns new forms, zero coefficients
-    are never stored, and equal forms compare equal as dictionaries.
+    Immutable value type: all arithmetic returns new forms, and the storage
+    (numerators by packed monomial, one denominator) is canonical, so equal
+    forms compare equal as stored.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | Iterable[tuple[Exponents, Scalar]] | None = None):
-        data: dict[Exponents, Fraction] = {}
+        data: dict[int, Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for expos, coeff in items:
-                expos = tuple(expos)  # type: ignore[assignment]
-                if len(expos) != 5 or any((not isinstance(p, int)) or p < 0 for p in expos):
-                    raise ValueError(f"invalid exponent tuple {expos!r}")
-                coeff = Fraction(coeff)
-                acc = data.get(expos, 0) + coeff
-                if acc:
-                    data[expos] = acc
-                elif expos in data:
-                    del data[expos]
-        self._terms = data
+                key = _pack(expos)
+                data[key] = data.get(key, 0) + Fraction(coeff)
+        den = lcm(*(c.denominator for c in data.values()))
+        num = {k: c.numerator * (den // c.denominator) for k, c in data.items() if c}
+        self._num, self._den = _reduce(num, den)
         self._hash = None
 
     @classmethod
-    def _raw(cls, terms: dict[Exponents, Fraction]) -> "QJForm":
+    def _raw(cls, num: dict[int, int], den: int = 1) -> "QJForm":
         # Internal fast path; caller guarantees canonical content.
         obj = cls.__new__(cls)
-        obj._terms = terms
+        obj._num = num
+        obj._den = den
         obj._hash = None
         return obj
 
@@ -105,76 +149,76 @@ class QJForm:
 
     def terms(self) -> list[tuple[Exponents, Fraction]]:
         """Term list in the canonical (depth-major, descending) order."""
-        return [(e, self._terms[e]) for e in sorted(self._terms, key=_order_key, reverse=True)]
+        num, den = self._num, self._den
+        return [(_unpack(k), Fraction(num[k], den)) for k in sorted(num, reverse=True)]
 
     def coefficient(self, expos: Exponents) -> Fraction:
-        return self._terms.get(tuple(expos), Fraction(0))
+        try:
+            key = _pack(expos)
+        except ValueError:
+            return Fraction(0)
+        return Fraction(self._num.get(key, 0), self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def is_homogeneous(self) -> bool:
-        weights = {weight_of_exponents(e) for e in self._terms}
+        weights = {_key_weight(k) for k in self._num}
         return len(weights) <= 1
 
     def weight(self) -> int:
         """Weight of a nonzero homogeneous form."""
-        weights = {weight_of_exponents(e) for e in self._terms}
+        weights = {_key_weight(k) for k in self._num}
         if len(weights) != 1:
             raise ValueError("weight is defined for nonzero homogeneous forms only")
         return weights.pop()
 
     def weight_components(self) -> list[tuple[int, "QJForm"]]:
         """Partition into weight-homogeneous parts, ascending by weight."""
-        by_weight: dict[int, dict[Exponents, Fraction]] = {}
-        for expos, coeff in self._terms.items():
-            by_weight.setdefault(weight_of_exponents(expos), {})[expos] = coeff
-        return [(w, QJForm._raw(by_weight[w])) for w in sorted(by_weight)]
+        by_weight: dict[int, dict[int, int]] = {}
+        for key, n in self._num.items():
+            by_weight.setdefault(_key_weight(key), {})[key] = n
+        if len(by_weight) == 1:
+            return [(w, self) for w in by_weight]
+        return [(w, _make(by_weight[w], self._den)) for w in sorted(by_weight)]
 
     def depth(self) -> DepthProfile:
         """Bidegree (max e2-exponent, max e1-exponent); undefined for zero."""
-        if not self._terms:
+        if not self._num:
             raise ValueError("the zero form has no depth")
-        s1 = max(e[4] for e in self._terms)
-        s2 = max(e[3] for e in self._terms)
+        s1 = max(k >> _E2_SHIFT for k in self._num)
+        s2 = max(k >> _E1_SHIFT & _FIELD_MASK for k in self._num)
         return DepthProfile(s1, s2)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, QJForm):
-            return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == QJForm.constant(other)._terms
+            other = QJForm.constant(other)
+        if isinstance(other, QJForm):
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((frozenset(self._num.items()), self._den))
         return self._hash
 
     def __pos__(self) -> "QJForm":
         return self
 
     def __neg__(self) -> "QJForm":
-        return QJForm._raw({e: -c for e, c in self._terms.items()})
+        return QJForm._raw({k: -n for k, n in self._num.items()}, self._den)
 
     def __add__(self, other: "QJForm | Scalar") -> "QJForm":
         if isinstance(other, (int, Fraction)):
             other = QJForm.constant(other)
         if not isinstance(other, QJForm):
             return NotImplemented
-        out = dict(self._terms)
-        for expos, coeff in other._terms.items():
-            acc = out.get(expos, 0) + coeff
-            if acc:
-                out[expos] = acc
-            elif expos in out:
-                del out[expos]
-        return QJForm._raw(out)
+        return _combine(self, 1, other)
 
     __radd__ = __add__
 
@@ -183,28 +227,29 @@ class QJForm:
             other = QJForm.constant(other)
         if not isinstance(other, QJForm):
             return NotImplemented
-        return self + (-other)
+        return _combine(self, -1, other)
 
     def __rsub__(self, other: "QJForm | Scalar") -> "QJForm":
         return (-self) + other
 
     def __mul__(self, other: "QJForm | Scalar") -> "QJForm":
         if isinstance(other, QJForm):
-            out: dict[Exponents, Fraction] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3], e1[4] + e2[4])
-                    acc = out.get(key, 0) + c1 * c2
-                    if acc:
-                        out[key] = acc
-                    elif key in out:
-                        del out[key]
-            return QJForm._raw(out)
+            a, b = self._num, other._num
+            if len(a) < len(b):
+                a, b = b, a
+            out: dict[int, int] = {}
+            get = out.get
+            inner = tuple(b.items())
+            for k1, c1 in a.items():
+                for k2, c2 in inner:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+            return _make(_check_guard(out), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             if not other:
-                return QJForm._raw({})
+                return ZERO
             r = Fraction(other)
-            return QJForm._raw({e: c * r for e, c in self._terms.items()})
+            return _make({k: n * r.numerator for k, n in self._num.items()}, self._den * r.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -222,7 +267,7 @@ class QJForm:
     @staticmethod
     def constant(value: Scalar) -> "QJForm":
         value = Fraction(value)
-        return QJForm._raw({(0, 0, 0, 0, 0): value} if value else {})
+        return QJForm._raw({0: value.numerator} if value else {}, value.denominator)
 
     @staticmethod
     def monomial(expos: Exponents, coeff: Scalar = 1) -> "QJForm":
@@ -230,14 +275,12 @@ class QJForm:
 
     @staticmethod
     def generator(g: Generator) -> "QJForm":
-        expos = [0, 0, 0, 0, 0]
-        expos[g.value] = 1
-        return QJForm._raw({tuple(expos): Fraction(1)})
+        return QJForm._raw({_UNITS[g.value]: 1})
 
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts: list[str] = []
         for expos, coeff in self.terms():
@@ -259,6 +302,85 @@ class QJForm:
 
     def __repr__(self) -> str:
         return f"QJForm({str(self)})"
+
+
+def _reduce(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    # Canonical (numerators, denominator): no zero numerator, gcd 1.
+    if not num:
+        return num, 1
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            return {k: n // g for k, n in num.items()}, den // g
+    return num, den
+
+
+def _make(num: dict[int, int], den: int) -> QJForm:
+    """Canonical form of the numerators over den > 0; zero numerators are dropped."""
+    return QJForm._raw(*_reduce({k: n for k, n in num.items() if n}, den))
+
+
+def _combine(f: QJForm, sign: int, g: QJForm) -> QJForm:
+    # f + sign*g over the least common denominator.
+    if not g._num:
+        return f
+    if not f._num:
+        return g if sign == 1 else -g
+    df, dg = f._den, g._den
+    if df == dg:
+        out = dict(f._num)
+        mg = sign
+        den = df
+    else:
+        c = gcd(df, dg)
+        mf, mg = dg // c, sign * (df // c)
+        out = {k: n * mf for k, n in f._num.items()}
+        den = df * (dg // c)
+    get = out.get
+    for k, n in g._num.items():
+        out[k] = get(k, 0) + n * mg
+    return _make(out, den)
+
+
+def iter_terms(f: QJForm) -> Iterator[tuple[Exponents, Fraction]]:
+    """Terms of f in storage order, for loops that do not need the sorted :meth:`QJForm.terms`."""
+    den = f._den
+    for key, n in f._num.items():
+        yield _unpack(key), Fraction(n, den)
+
+
+# A generator-image table for the Leibniz kernel: one common denominator,
+# and per generator with a nonzero image (field shift, unit key, image
+# numerators as (key, numerator) pairs over that denominator).
+ImageTable = tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]
+
+
+def image_table(images: Sequence[QJForm]) -> ImageTable:
+    """Pack the images of wp, dwp, e4, e1, e2 for :func:`leibniz`."""
+    den = lcm(*(img._den for img in images))
+    rows = tuple(
+        (shift, unit, tuple((k, n * (den // img._den)) for k, n in img._num.items()))
+        for shift, unit, img in zip(_SHIFTS, _UNITS, images)
+        if img
+    )
+    return den, rows
+
+
+def leibniz(table: ImageTable, f: QJForm) -> QJForm:
+    """The derivation with the given generator images, extended to f by the Leibniz rule."""
+    den, rows = table
+    out: dict[int, int] = {}
+    get = out.get
+    for key, c in f._num.items():
+        for shift, unit, image in rows:
+            p = key >> shift & _FIELD_MASK
+            if p:
+                base = key - unit
+                scaled = c * p
+                for ik, iv in image:
+                    k = base + ik
+                    out[k] = get(k, 0) + scaled * iv
+    return _make(_check_guard(out), f._den * den)
 
 
 ZERO = QJForm._raw({})
@@ -365,29 +487,35 @@ def monomials_of_weight(k: int, algebra: Algebra = Algebra.JSINF) -> list[Expone
     return out
 
 
-def _eliminate(vec: dict[Exponents, Fraction], rows: list[tuple[Exponents, dict[Exponents, Fraction]]]) -> dict[Exponents, Fraction]:
+def _eliminate(vec: dict[int, int], rows: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
+    # Fraction-free: clearing a pivot scales vec by the row's pivot entry,
+    # which leaves the span question unchanged.
     for pivot, row in rows:
         factor = vec.get(pivot)
         if factor:
-            for expos, coeff in row.items():
-                acc = vec.get(expos, 0) - factor * coeff
+            head = row[pivot]
+            vec = {k: n * head for k, n in vec.items()}
+            for k, n in row.items():
+                acc = vec.get(k, 0) - factor * n
                 if acc:
-                    vec[expos] = acc
-                elif expos in vec:
-                    del vec[expos]
+                    vec[k] = acc
+                else:
+                    del vec[k]
+            if vec:
+                g = gcd(*vec.values())
+                if g != 1:
+                    vec = {k: n // g for k, n in vec.items()}
     return vec
 
 
 def in_span(target: QJForm, basis: Iterable[QJForm]) -> bool:
     """Exact rational test of membership of target in the span of basis."""
-    rows: list[tuple[Exponents, dict[Exponents, Fraction]]] = []
+    rows: list[tuple[int, dict[int, int]]] = []
     for vec in basis:
-        red = _eliminate(dict(vec._terms), rows)
+        red = _eliminate(dict(vec._num), rows)
         if red:
-            pivot = max(red)
-            inv = 1 / red[pivot]
-            rows.append((pivot, {e: c * inv for e, c in red.items()}))
-    return not _eliminate(dict(target._terms), rows)
+            rows.append((max(red), red))
+    return not _eliminate(dict(target._num), rows)
 
 
 @lru_cache(maxsize=None)
@@ -412,26 +540,27 @@ def _in_modular_span(f: QJForm) -> bool:
 
 def member(f: QJForm, algebra: Algebra) -> bool:
     """Support test for membership of f in one of the six subalgebras."""
+    keys = f._num
     if algebra is Algebra.JSINF:
         return True
     if algebra is Algebra.JSINF0:
-        return all(e[3] == 0 for e in f._terms)
+        return not any(k & _E1_FIELD for k in keys)
     if algebra is Algebra.JS0INF:
-        return all(e[4] == 0 for e in f._terms)
+        return not any(k & _E2_FIELD for k in keys)
     if algebra is Algebra.JS:
-        return all(e[3] == 0 and e[4] == 0 for e in f._terms)
+        return not any(k & (_E1_FIELD | _E2_FIELD) for k in keys)
     if algebra is Algebra.M:
-        if not all(e[3] == 0 and e[4] == 0 for e in f._terms):
+        if any(k & (_E1_FIELD | _E2_FIELD) for k in keys):
             return False
         return _in_modular_span(f)
     if algebra is Algebra.MINF:
-        if not all(e[3] == 0 for e in f._terms):
+        if any(k & _E1_FIELD for k in keys):
             return False
         # Split off e2 powers and test each coefficient form against M.
-        by_e2: dict[int, dict[Exponents, Fraction]] = {}
-        for (a, b, c, d, e), coeff in f._terms.items():
-            by_e2.setdefault(e, {})[(a, b, c, 0, 0)] = coeff
-        return all(_in_modular_span(QJForm._raw(part)) for part in by_e2.values())
+        by_e2: dict[int, dict[int, int]] = {}
+        for key, n in keys.items():
+            by_e2.setdefault(key >> _E2_SHIFT, {})[key & ~_E2_FIELD] = n
+        return all(_in_modular_span(_make(part, f._den)) for part in by_e2.values())
     raise ValueError(f"unknown algebra {algebra!r}")
 
 
@@ -442,20 +571,19 @@ def q_coefficient(f: QJForm, j1: int, j2: int) -> ScaledJForm:
     and collecting X^j1 Y^j2 gives a form times c^(j1+j2).  Out-of-range
     indices (including negative ones) give the zero scaled form.
     """
+    if j1 < 0 or j2 < 0:
+        return ZERO_SCALED
     sign = -1 if j1 % 2 else 1
-    out: dict[Exponents, Fraction] = {}
-    for (a, b, c, d, e), coeff in f._terms.items():
-        w = binomial(e, j1) * binomial(d, j2)
+    shift = j1 << _E2_SHIFT | j2 << _E1_SHIFT
+    out: dict[int, int] = {}
+    for key, n in f._num.items():
+        w = binomial(key >> _E2_SHIFT, j1) * binomial(key >> _E1_SHIFT & _FIELD_MASK, j2)
         if w:
-            key = (a, b, c, d - j2, e - j1)
-            acc = out.get(key, 0) + coeff * (sign * w)
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
+            # distinct keys stay distinct after the same shift
+            out[key - shift] = n * (sign * w)
     if not out:
         return ZERO_SCALED
-    return ScaledJForm(QJForm._raw(out), j1 + j2)
+    return ScaledJForm(_make(out, f._den), j1 + j2)
 
 
 class EisensteinMethod(Enum):
@@ -496,7 +624,7 @@ def _gunther_e(two_n: int) -> QJForm:
         acc = acc + (2 * a + 1) * (a - 2 * b - 1) * (_gunther_e(2 * a + 2) * _gunther_e(2 * b + 2))
     acc = acc - 2 * (2 * n + 1) * derive(Derivation.DTAU, prev)
     result = Fraction(1, (n + 2) * (2 * n + 5)) * acc
-    if any(e[4] != 0 or e[3] != 0 for e in result._terms):
+    if not member(result, Algebra.JS):
         raise InconsistencyError(f"e_{two_n} solved with residual depth: {result}")
     return result
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from .arith import bernoulli, sigma
-from .forms import QJForm
+from .forms import QJForm, iter_terms
 
 Scalar = Union[int, Fraction]
 
@@ -330,6 +330,8 @@ def expand(f: QJForm, q_prec: int = DEFAULT_QPREC, u_max: int = DEFAULT_UMAX) ->
 
     The zero form expands to the zero series with weight tag 0.
     """
+    if q_prec < 1:
+        raise PrecisionError("q_prec must be at least 1")
     comps = f.weight_components()
     if not comps:
         return BigradedSeries._raw(0, q_prec, min(0, u_max), u_max, {})
@@ -337,7 +339,7 @@ def expand(f: QJForm, q_prec: int = DEFAULT_QPREC, u_max: int = DEFAULT_UMAX) ->
         raise ValueError("expand requires a weight-homogeneous form; split it first")
     _, comp = comps[0]
     total: BigradedSeries | None = None
-    for expos, coeff in comp._terms.items():
+    for expos, coeff in iter_terms(comp):
         s = series_scale(coeff, _monomial_series(expos, q_prec, u_max))
         total = s if total is None else series_add(total, s)
     assert total is not None

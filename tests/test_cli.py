@@ -51,6 +51,11 @@ class TestEval:
         assert code == 1
         assert "error" in err
 
+    def test_exponent_overflow_exit_one(self, capsys):
+        code, out, err = run(capsys, "eval", "wp^20000*wp^20000")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestQueries:
     def test_weight(self, capsys):
@@ -91,9 +96,14 @@ class TestDim:
         assert payload["result"] == [1, 1, 2, 3, 5, 6, 9, 11, 15]
 
     def test_usage_errors(self, capsys):
-        assert run(capsys, "dim", "DS")[0] == 1
-        assert run(capsys, "dim", "XX", "3")[0] == 1
-        assert run(capsys, "dim", "DS", "-3")[0] == 1
+        assert run(capsys, "dim", "DS")[0] == 2
+        assert run(capsys, "dim", "XX", "3")[0] == 2
+        assert run(capsys, "dim", "DS", "-3")[0] == 2
+
+    def test_usage_error_output(self, capsys):
+        code, out, err = run(capsys, "dim", "DS", "-3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "usage:" not in err
 
 
 class TestExpand:
@@ -116,6 +126,21 @@ class TestExpand:
         assert code == 0
         assert payload["result"]["q_prec"] == 3 and payload["result"]["u_max"] == 4
 
+    def test_bad_env_default_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("QJALG_QPREC", "abc")
+        code, out, err = run(capsys, "expand", "wp")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "QJALG_QPREC" in err and err.count("\n") == 1
+
+    def test_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("QJALG_UMAX", "abc")
+        code, payload, _ = run_json(capsys, "expand", "e4", "--qprec", "2", "--umax", "0")
+        assert code == 0 and payload["result"]["u_max"] == 0
+
+    def test_empty_precision_window_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "expand", "wp", "--qprec", "0")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_mixed_weight_rejected(self, capsys):
         code, _, err = run(capsys, "expand", "wp + e1")
         assert code == 1
@@ -128,7 +153,12 @@ class TestBracketCommand:
         assert out.strip() == "-1/4*e2^3 - 1/4*wp*e2^2 + 5/4*e4*e2 + 5/4*wp*e4"
 
     def test_bad_kind(self, capsys):
-        assert run(capsys, "bracket", "xx", "e2", "e1", "1")[0] == 1
+        assert run(capsys, "bracket", "xx", "e2", "e1", "1")[0] == 2
+
+    def test_negative_order_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bracket", "rc", "wp", "e4", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "usage:" not in err
 
 
 class TestVerifyCommand:

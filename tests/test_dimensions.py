@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from qjforms import dimensions
 from qjforms import (
     DimFamily,
     FAMILY_WEIGHTS,
@@ -85,6 +86,12 @@ class TestDimBrute:
         for fam, weights in FAMILY_WEIGHTS.items():
             for k in range(31):
                 assert dim_brute(fam, k) == naive_count(weights, k), (fam, k)
+
+    def test_ascending_sweep_matches_closed_form(self, monkeypatch):
+        # From empty tables, so the sweep grows each table from scratch.
+        monkeypatch.setattr(dimensions, "_brute_tables", {})
+        for fam in DimFamily:
+            assert [dim_brute(fam, k) for k in range(2001)] == [dim_closed(fam, k) for k in range(2001)], fam
 
 
 class TestSeriesCoefficients:

@@ -1,0 +1,229 @@
+"""Differential test of the packed, fraction-free QJForm kernel.
+
+The reference below is the plain dict-of-Fraction arithmetic on exponent
+tuples, restated independently of ``qjforms.forms``: sums, products, the
+Leibniz rule on generator images, and the defining formulas of OB, DJAC and
+DELTA per weight component.  Forms enter and leave it through ``terms()``.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qjforms import DWP, E2, WP, Derivation, QJForm, derive, q_coefficient
+from qjforms.parser import parse_and_evaluate
+
+F = Fraction
+WEIGHTS = (2, 3, 4, 1, 2)
+WP_, DWP_, E4_, E1_, E2_ = ((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+
+# Generator images of dz and dtau, indexed (wp, dwp, e4, e1, e2).
+REF_DZ = [
+    {DWP_: F(1)},
+    {(2, 0, 0, 0, 0): F(6), E4_: F(-30)},
+    {},
+    {WP_: F(-1), E2_: F(-1)},
+    {},
+]
+REF_DTAU = [
+    {(0, 1, 0, 1, 0): F(-1, 4), (2, 0, 0, 0, 0): F(-1, 2), (1, 0, 0, 0, 1): F(1, 2), E4_: F(5)},
+    {(0, 0, 1, 1, 0): F(15, 2), (2, 0, 0, 1, 0): F(-3, 2), (0, 1, 0, 0, 1): F(3, 4), (1, 1, 0, 0, 0): F(-3, 4)},
+    {(3, 0, 0, 0, 0): F(-1, 10), (0, 2, 0, 0, 0): F(1, 40), (1, 0, 1, 0, 0): F(3, 2), (0, 0, 1, 0, 1): F(1)},
+    {(0, 0, 0, 1, 1): F(1, 4), (1, 0, 0, 1, 0): F(1, 4), DWP_: F(1, 8)},
+    {(0, 0, 0, 0, 2): F(1, 4), E4_: F(-5, 4)},
+]
+
+
+# -- reference: dict[exponent tuple, Fraction] with no zero values ---------
+
+def ref(f: QJForm) -> dict:
+    return dict(f.terms())
+
+
+def _acc(out: dict, key: tuple, value: Fraction) -> None:
+    total = out.get(key, 0) + value
+    if total:
+        out[key] = total
+    else:
+        out.pop(key, None)
+
+
+def ref_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        _acc(out, e, sign * c)
+    return out
+
+
+def ref_scale(r: Fraction, a: dict) -> dict:
+    return {e: r * c for e, c in a.items()} if r else {}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            _acc(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+    return out
+
+
+def ref_leibniz(images: list, a: dict) -> dict:
+    out: dict = {}
+    for e, c in a.items():
+        for gi, p in enumerate(e):
+            if p:
+                base = list(e)
+                base[gi] -= 1
+                for ie, ic in images[gi].items():
+                    _acc(out, tuple(x + y for x, y in zip(base, ie)), c * p * ic)
+    return out
+
+
+def ref_components(a: dict) -> dict:
+    comps: dict = {}
+    for e, c in a.items():
+        comps.setdefault(sum(w * p for w, p in zip(WEIGHTS, e)), {})[e] = c
+    return comps
+
+
+def ref_derive(tag: Derivation, a: dict) -> dict:
+    dz, dtau = ref_leibniz(REF_DZ, a), ref_leibniz(REF_DTAU, a)
+    if tag is Derivation.DZ:
+        return dz
+    if tag is Derivation.DTAU:
+        return dtau
+    if tag is Derivation.DJAC:
+        return ref_add(dtau, ref_scale(F(1, 4), ref_mul({E1_: F(1)}, dz)))
+    out: dict = {}
+    for k, comp in ref_components(a).items():
+        if tag is Derivation.DELTA:
+            out = ref_add(out, ref_scale(F(k, 2), comp))
+        else:  # OB, per weight component
+            term = ref_add(ref_scale(F(4), ref_leibniz(REF_DTAU, comp)), ref_mul({E1_: F(1)}, ref_leibniz(REF_DZ, comp)))
+            out = ref_add(out, ref_add(term, ref_scale(F(k), ref_mul({E2_: F(1)}, comp)), -1))
+    return out
+
+
+def ref_q(a: dict, j1: int, j2: int) -> dict:
+    out: dict = {}
+    for (p, b, c, d, e), coeff in a.items():
+        w = comb(e, j1) * comb(d, j2)
+        if w:
+            _acc(out, (p, b, c, d - j2, e - j1), coeff * (-1) ** j1 * w)
+    return out
+
+
+# -- strategies --------------------------------------------------------------
+
+exponents = st.tuples(*(st.integers(0, 3) for _ in range(5)))
+# Zero coefficients are allowed: the constructor must drop them.
+coefficients = st.builds(Fraction, st.integers(-(10**15), 10**15), st.integers(1, 10**12))
+raw_forms = st.dictionaries(exponents, coefficients, max_size=8)
+
+
+@st.composite
+def form_pairs(draw):
+    """Two forms; the second may cancel all or part of the first."""
+    a = draw(raw_forms)
+    b = draw(raw_forms)
+    mode = draw(st.sampled_from(("free", "negated", "partial")))
+    if mode == "negated":
+        b = {e: -c for e, c in a.items()}
+    elif mode == "partial":
+        b = {**b, **{e: -c for e, c in a.items() if draw(st.booleans())}}
+    return a, b
+
+
+def nonzero(a: dict) -> dict:
+    return {e: c for e, c in a.items() if c}
+
+
+# -- differential tests ------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(form_pairs(), coefficients | st.integers(-3, 3))
+def test_ring_operations_match_reference(pair, r):
+    f, g = QJForm(pair[0]), QJForm(pair[1])
+    a, b = nonzero(pair[0]), nonzero(pair[1])
+    assert ref(f) == a and ref(g) == b
+    assert ref(f + g) == ref_add(a, b)
+    assert ref(f - g) == ref_add(a, b, -1)
+    assert ref(f * g) == ref_mul(a, b)
+    assert ref(r * f) == ref(f * r) == ref_scale(F(r), a)
+    assert ref(-f) == ref_scale(F(-1), a)
+    assert len(f * g) == len(ref_mul(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_forms)
+def test_derivations_match_reference(a):
+    f, a = QJForm(a), nonzero(a)
+    for tag in Derivation:
+        assert ref(derive(tag, f)) == ref_derive(tag, a), tag
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_forms, st.integers(-1, 4), st.integers(-1, 4))
+def test_q_coefficient_matches_reference(a, j1, j2):
+    got = q_coefficient(QJForm(a), j1, j2)
+    expected = ref_q(nonzero(a), j1, j2) if j1 >= 0 and j2 >= 0 else {}
+    assert ref(got.form) == expected
+    assert got.c_power == (j1 + j2 if expected else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_pairs())
+def test_eq_and_hash_are_consistent(pair):
+    a, b = pair
+    f, g = QJForm(a), QJForm(b)
+    assert (f == g) == (ref(f) == ref(g))
+    same = (f + g) - g
+    assert same == f and hash(same) == hash(f)
+    shuffled = QJForm(list(a.items())[::-1])
+    assert shuffled == f and hash(shuffled) == hash(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_forms)
+def test_parse_of_str_round_trips(a):
+    f = QJForm(a)
+    assert parse_and_evaluate(str(f)) == f
+
+
+# -- exponent guard ----------------------------------------------------------
+
+def test_largest_exponent_is_accepted():
+    top = QJForm.monomial((32767, 0, 0, 0, 32767), F(-2, 3))
+    assert top.terms() == [((32767, 0, 0, 0, 32767), F(-2, 3))]
+    assert top.coefficient((32767, 0, 0, 0, 32767)) == F(-2, 3)
+    with pytest.raises(ValueError):
+        QJForm.monomial((0, 0, 32768, 0, 0))
+
+
+@pytest.mark.parametrize("field", range(5))
+def test_product_overflowing_a_field_raises(field):
+    expos = [0] * 5
+    expos[field] = 20000
+    big = QJForm.monomial(tuple(expos))
+    with pytest.raises(ValueError):
+        big * big
+    expos[field] = 32767
+    gen = [0] * 5
+    gen[field] = 1
+    with pytest.raises(ValueError):
+        QJForm.monomial(tuple(expos)) * QJForm.monomial(tuple(gen))
+
+
+def test_derivation_overflowing_a_field_raises():
+    # dtau(e2) contains e2^2, so dtau(e2^32767) needs e2^32768.
+    with pytest.raises(ValueError):
+        derive(Derivation.DTAU, QJForm.monomial((0, 0, 0, 0, 32767)))
+    assert derive(Derivation.DZ, QJForm.monomial((32767, 0, 0, 0, 0))) == 32767 * (
+        QJForm.monomial((32766, 0, 0, 0, 0)) * DWP
+    )
+
+
+def test_guard_leaves_in_range_products_alone():
+    assert (WP**3 * E2) * (WP * E2**2) == WP**4 * E2**3

@@ -140,6 +140,11 @@ class TestExpand:
         with pytest.raises(PrecisionError):
             expand(WP, 2, -3)
 
+    def test_empty_precision_window_raises(self):
+        for f in (WP, WP - WP):
+            with pytest.raises(PrecisionError):
+                expand(f, 0, 4)
+
     def test_homomorphism_on_product(self):
         lhs = expand(WP * E1, 6, 12)
         rhs = series_mul(expand(WP, 6, 12), expand(E1, 6, 12))
