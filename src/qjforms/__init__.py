@@ -1,120 +1,93 @@
-"""Exact kernel for the graded differential algebra of index-zero singular quasi-Jacobi forms."""
+"""Exact kernel for the graded differential algebra of index-zero singular quasi-Jacobi forms.
 
-from .arith import Rational, bernoulli, binomial, sigma
-from .calculus import (
-    ALGEBRA_GENERATORS,
-    Bracket,
-    Derivation,
-    StabilityReport,
-    bracket,
-    check_stability,
-    derive,
-    star_truncated,
-    transvectant_by_recurrence,
-)
-from .dimensions import (
-    DimFamily,
-    FAMILY_WEIGHTS,
-    alcuin,
-    dim_brute,
-    dim_closed,
-    modular_dim,
-    nearest_int,
-    series_coefficients,
-)
-from .forms import (
-    DWP,
-    E1,
-    E2,
-    E4,
-    ONE,
-    WP,
-    ZERO,
-    Algebra,
-    DepthProfile,
-    EisensteinMethod,
-    Generator,
-    InconsistencyError,
-    QJForm,
-    ScaledJForm,
-    e6_form,
-    eisenstein_in_generators,
-    in_span,
-    member,
-    monomials_of_weight,
-    q_coefficient,
-)
-from .series import (
-    DEFAULT_QPREC,
-    DEFAULT_UMAX,
-    BigradedSeries,
-    PrecisionError,
-    SeriesDerivation,
-    eisenstein_qseries,
-    eval_numeric,
-    expand,
-    series_add,
-    series_derive,
-    series_equal,
-    series_mul,
-    series_scale,
-)
+The package loads lazily (PEP 562): ``import qjforms`` imports no
+submodule, and the first access to an exported name imports the submodule
+that defines it.  A one-shot ``qjalg`` query thereby loads only the modules
+its command runs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGEBRA_GENERATORS",
-    "Algebra",
-    "BigradedSeries",
-    "Bracket",
-    "DEFAULT_QPREC",
-    "DEFAULT_UMAX",
-    "Derivation",
-    "DepthProfile",
-    "DimFamily",
-    "DWP",
-    "E1",
-    "E2",
-    "E4",
-    "EisensteinMethod",
-    "FAMILY_WEIGHTS",
-    "Generator",
-    "InconsistencyError",
-    "ONE",
-    "PrecisionError",
-    "QJForm",
-    "Rational",
-    "ScaledJForm",
-    "SeriesDerivation",
-    "StabilityReport",
-    "WP",
-    "ZERO",
-    "alcuin",
-    "bernoulli",
-    "binomial",
-    "bracket",
-    "check_stability",
-    "derive",
-    "dim_brute",
-    "dim_closed",
-    "e6_form",
-    "eisenstein_in_generators",
-    "eisenstein_qseries",
-    "eval_numeric",
-    "expand",
-    "in_span",
-    "member",
-    "modular_dim",
-    "monomials_of_weight",
-    "nearest_int",
-    "q_coefficient",
-    "series_add",
-    "series_coefficients",
-    "series_derive",
-    "series_equal",
-    "series_mul",
-    "series_scale",
-    "sigma",
-    "star_truncated",
-    "transvectant_by_recurrence",
-]
+# The single list of exports: exported name -> defining submodule.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "arith": ("Rational", "bernoulli", "binomial", "sigma"),
+        "calculus": (
+            "ALGEBRA_GENERATORS",
+            "Bracket",
+            "Derivation",
+            "StabilityReport",
+            "bracket",
+            "check_stability",
+            "derive",
+            "star_truncated",
+            "transvectant_by_recurrence",
+        ),
+        "dimensions": (
+            "DimFamily",
+            "FAMILY_WEIGHTS",
+            "alcuin",
+            "dim_brute",
+            "dim_closed",
+            "modular_dim",
+            "nearest_int",
+            "series_coefficients",
+        ),
+        "forms": (
+            "DWP",
+            "E1",
+            "E2",
+            "E4",
+            "ONE",
+            "WP",
+            "ZERO",
+            "Algebra",
+            "DepthProfile",
+            "EisensteinMethod",
+            "Generator",
+            "InconsistencyError",
+            "QJForm",
+            "ScaledJForm",
+            "e6_form",
+            "eisenstein_in_generators",
+            "in_span",
+            "member",
+            "monomials_of_weight",
+            "q_coefficient",
+        ),
+        "series": (
+            "DEFAULT_QPREC",
+            "DEFAULT_UMAX",
+            "BigradedSeries",
+            "PrecisionError",
+            "SeriesDerivation",
+            "eisenstein_qseries",
+            "eval_numeric",
+            "expand",
+            "series_add",
+            "series_derive",
+            "series_equal",
+            "series_mul",
+            "series_scale",
+        ),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -17,11 +17,11 @@ component by k/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
 
+from ._value import Value
 from .arith import binomial
 from .forms import (
     DWP,
@@ -209,12 +209,13 @@ def star_truncated(tag: Bracket, f: QJForm, g: QJForm, order: int) -> list[QJFor
     return out
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Value):
     """Outcome of a closure check: closed, or the first failing generator."""
 
-    closed: bool
-    witness: str | None = None
+    __slots__ = ("closed", "witness")
+
+    def __init__(self, closed: bool, witness: str | None = None) -> None:
+        super().__init__(closed, witness)
 
 
 # Generating sets, ordered as the structure theorems list them.

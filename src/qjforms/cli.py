@@ -12,16 +12,20 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .calculus import Bracket, bracket
-from .dimensions import DimFamily, dim_closed
-from .forms import Algebra, InconsistencyError, QJForm, ScaledJForm, member
+from .forms import Algebra, QJForm, ScaledJForm, member
 from .parser import EvalError, ParseError, parse_and_evaluate
-from .series import DEFAULT_QPREC, DEFAULT_UMAX, BigradedSeries, PrecisionError, expand
-from .verify import SUITE_NAMES, run_suites
+
+if TYPE_CHECKING:
+    from .dimensions import DimFamily
+    from .series import BigradedSeries
+
+# The series, dimensions and verify modules are imported by the commands
+# that run them, so a one-shot query loads only what it needs.
 
 _ALGEBRAS = {a.value.lower(): a for a in Algebra}
-_FAMILIES = {f.value.lower(): f for f in DimFamily}
 _BRACKETS = {"rc": Bracket.RC_TAU, "rcd": Bracket.RC_D, "tv": Bracket.TV}
 
 
@@ -94,20 +98,24 @@ def _cmd_depth(args) -> int:
 def _cmd_member(args) -> int:
     algebra = _ALGEBRAS.get(args.algebra.lower())
     if algebra is None:
-        raise EvalError(f"unknown algebra {args.algebra!r}; choose from {', '.join(a.value for a in Algebra)}")
+        raise UsageError(f"unknown algebra {args.algebra!r}; choose from {', '.join(a.value for a in Algebra)}")
     form = _require_plain_form(parse_and_evaluate(args.expr), "member")
     verdict = member(form, algebra)
     return _emit(args, verdict, "true" if verdict else "false")
 
 
 def _parse_family(name: str) -> DimFamily:
-    family = _FAMILIES.get(name.lower())
-    if family is None:
-        raise UsageError(f"unknown family {name!r}; choose from {', '.join(f.value for f in DimFamily)}")
-    return family
+    from .dimensions import DimFamily
+
+    for family in DimFamily:
+        if family.value.lower() == name.lower():
+            return family
+    raise UsageError(f"unknown family {name!r}; choose from {', '.join(f.value for f in DimFamily)}")
 
 
 def _cmd_dim(args) -> int:
+    from .dimensions import dim_closed
+
     parts = args.parts
     if parts and parts[0].lower() == "table":
         if len(parts) != 3:
@@ -144,6 +152,8 @@ def _window_arg(flag_value: str | None, flag: str, env: str, default: int, minim
 
 
 def _cmd_expand(args) -> int:
+    from .series import DEFAULT_QPREC, DEFAULT_UMAX, expand
+
     q_prec = _window_arg(args.qprec, "--qprec", "QJALG_QPREC", DEFAULT_QPREC, minimum=1)
     u_max = _window_arg(args.umax, "--umax", "QJALG_UMAX", DEFAULT_UMAX, minimum=None)
     form = _require_plain_form(parse_and_evaluate(args.expr), "expand")
@@ -166,6 +176,8 @@ def _cmd_bracket(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suites
+
     results = run_suites([args.suite], seed=args.seed, quick=args.quick)
     lines: list[str] = []
     failures: list[str] = []
@@ -188,6 +200,18 @@ def _cmd_verify(args) -> int:
     ok = not failures
     lines.append("all checks passed" if ok else f"{len(failures)} check(s) failed")
     return _emit(args, {"suites": suites_json}, "\n".join(lines), ok=ok, errors=failures)
+
+
+def _suite_name(name: str) -> str:
+    # An argparse type, so that an unknown suite still exits 2 through
+    # argparse while verify is imported only when the verify command runs.
+    from .verify import SUITE_NAMES
+
+    if name not in SUITE_NAMES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(map(repr, SUITE_NAMES))})"
+        )
+    return name
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -221,8 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="bigraded series expansion of a homogeneous form")
     p.add_argument("expr")
-    p.add_argument("--qprec", help=f"q-precision, at least 1 (default: $QJALG_QPREC or {DEFAULT_QPREC})")
-    p.add_argument("--umax", help=f"top u-exponent (default: $QJALG_UMAX or {DEFAULT_UMAX})")
+    p.add_argument("--qprec", help="q-precision, at least 1 (default: $QJALG_QPREC or series.DEFAULT_QPREC)")
+    p.add_argument("--umax", help="top u-exponent (default: $QJALG_UMAX or series.DEFAULT_UMAX)")
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("bracket", help="bracket {rc|rcd|tv} EXPR EXPR N")
@@ -233,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bracket)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", nargs="?", default="all", choices=SUITE_NAMES)
+    p.add_argument("suite", nargs="?", default="all", type=_suite_name, help="suite name (default: all)")
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--quick", action="store_true", help="smaller randomized batteries")
     p.set_defaults(func=_cmd_verify)
@@ -251,7 +275,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except UsageError as exc:
         return _fail(args, exc, 2)
-    except (EvalError, PrecisionError, InconsistencyError, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # Among them EvalError, PrecisionError and InconsistencyError.
         return _fail(args, exc, 1)
 
 

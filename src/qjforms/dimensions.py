@@ -1,9 +1,10 @@
 """Dimension formulas for the graded pieces of the four form algebras.
 
 Each family counts monomials in a fixed weight vector: the closed forms are
-the quasi-polynomials of the dimension theorem, evaluated here in exact
-rational arithmetic by collapsing the (-1)^k, i^k and j^k oscillations into
-period-12 constants (12 polynomial slices per family, precomputed once).
+the quasi-polynomials of the dimension theorem, evaluated here exactly by
+collapsing the (-1)^k, i^k and j^k oscillations into period-12 constants:
+12 polynomial slices per family, precomputed once as integer numerators over
+one denominator, so an evaluation is integer Horner and one ``divmod``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 
 class DimFamily(Enum):
@@ -82,9 +82,9 @@ _QUASI = {
 }
 
 
-@lru_cache(maxsize=None)
-def _residue_polynomials(family: DimFamily) -> tuple[tuple[Fraction, ...], ...]:
-    # One rational polynomial in k per residue class of k mod 12.
+def _residue_polynomials(family: DimFamily) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    # One rational polynomial in k per residue class of k mod 12, stored as
+    # integer numerators (highest degree first) over one common denominator.
     poly, alt, per4, per3 = _QUASI[family]
     degree = max(len(poly), len(alt))
     slices = []
@@ -96,21 +96,26 @@ def _residue_polynomials(family: DimFamily) -> tuple[tuple[Fraction, ...], ...]:
         for i, c in enumerate(alt):
             coeffs[i] += sign * c
         coeffs[0] += per4[r % 4] + per3[r % 3]
-        slices.append(tuple(coeffs))
-    return tuple(slices)
+        slices.append(coeffs[::-1])
+    den = math.lcm(*(c.denominator for coeffs in slices for c in coeffs))
+    return den, tuple(tuple(int(c * den) for c in coeffs) for coeffs in slices)
+
+
+_RESIDUES = {family: _residue_polynomials(family) for family in DimFamily}
 
 
 def dim_closed(family: DimFamily, k: int) -> int:
     """Exact quasi-polynomial dimension of the weight-k piece."""
     if k < 0:
         raise ValueError("weights are nonnegative")
-    coeffs = _residue_polynomials(family)[k % 12]
-    acc = Fraction(0)
-    for c in reversed(coeffs):
+    den, slices = _RESIDUES[family]
+    acc = 0
+    for c in slices[k % 12]:
         acc = acc * k + c
-    if acc.denominator != 1:
-        raise ArithmeticError(f"quasi-polynomial value {acc} is not an integer")
-    return int(acc)
+    value, rem = divmod(acc, den)
+    if rem:
+        raise ArithmeticError(f"quasi-polynomial value {Fraction(acc, den)} is not an integer")
+    return value
 
 
 _brute_tables: dict[DimFamily, list[int]] = {}

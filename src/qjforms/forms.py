@@ -26,7 +26,6 @@ and ``coefficient()`` still return ``Fraction`` coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -34,6 +33,7 @@ from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
+from ._value import Value
 from .arith import binomial
 
 Exponents = tuple[int, int, int, int, int]
@@ -392,8 +392,7 @@ E1 = QJForm.generator(Generator.EE1)
 E2 = QJForm.generator(Generator.EE2)
 
 
-@dataclass(frozen=True)
-class ScaledJForm:
+class ScaledJForm(Value):
     """A form times an integer power of the formal constant c = 2*i*pi.
 
     Every displayed identity of the theory is c-homogeneous, so the
@@ -401,12 +400,10 @@ class ScaledJForm:
     the exponent ``c_power``.  The zero form is canonically (0, 0).
     """
 
-    form: QJForm
-    c_power: int = 0
+    __slots__ = ("form", "c_power")
 
-    def __post_init__(self) -> None:
-        if not self.form:
-            object.__setattr__(self, "c_power", 0)
+    def __init__(self, form: QJForm, c_power: int = 0) -> None:
+        super().__init__(form, c_power if form else 0)
 
     def is_zero(self) -> bool:
         return not self.form

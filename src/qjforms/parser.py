@@ -16,10 +16,10 @@ q and eis must be nonnegative integer literals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from ._value import Value
 from .calculus import Bracket, Derivation, bracket, derive
 from .forms import DWP, E1, E2, E4, WP, QJForm, ScaledJForm, e6_form, eisenstein_in_generators, q_coefficient
 
@@ -36,49 +36,37 @@ class EvalError(ValueError):
     """A structurally valid expression that cannot be evaluated."""
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
+# AST nodes: immutable, equal when type and fields are equal.
+class Lit(Value):
+    __slots__ = ("value",)  # Fraction
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Value):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Neg(Value):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Add(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Sub(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Mul(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Pow(Value):
+    __slots__ = ("base", "exponent")  # exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    args: tuple
+class Call(Value):
+    __slots__ = ("fn", "args")  # args: tuple of Expr, then trailing ints
 
 
 Expr = Union[Lit, Var, Neg, Add, Sub, Mul, Pow, Call]

@@ -78,7 +78,7 @@ class TestQueries:
         code, out, _ = run(capsys, "member", "JS", "e2")
         assert code == 0 and out.strip() == "false"
         code, _, _ = run(capsys, "member", "nope", "e2")
-        assert code == 1
+        assert code == 2
 
     def test_member_case_insensitive(self, capsys):
         code, out, _ = run(capsys, "member", "js0inf", "e1*wp")

@@ -74,6 +74,19 @@ class TestDimClosed:
         with pytest.raises(ValueError):
             dim_closed(DimFamily.DS, -1)
 
+    def test_three_routes_agree_to_5000(self):
+        # Closed form = dynamic programming = series division, every family.
+        for fam in DimFamily:
+            coeffs = series_coefficients(fam, 5000)
+            assert [dim_closed(fam, k) for k in range(5001)] == [dim_brute(fam, k) for k in range(5001)] == coeffs, fam
+
+    def test_non_integer_value_raises(self, monkeypatch):
+        # Doubling the denominator halves every value.
+        den, slices = dimensions._RESIDUES[DimFamily.DS]
+        monkeypatch.setitem(dimensions._RESIDUES, DimFamily.DS, (2 * den, slices))
+        with pytest.raises(ArithmeticError):
+            dim_closed(DimFamily.DS, 13)  # 5, odd, so half of it is not an integer
+
 
 class TestDimBrute:
     def test_examples(self):

@@ -248,6 +248,15 @@ class TestQCoefficient:
 class TestScaledJForm:
     def test_canonical_zero(self):
         assert ScaledJForm(ZERO, 5) == ScaledJForm(ZERO, 0)
+        assert ScaledJForm(ZERO, 5).c_power == 0 and ScaledJForm(WP).c_power == 0
+
+    def test_immutable_value(self):
+        s = ScaledJForm(WP, 2)
+        assert s.form == WP and s.c_power == 2
+        assert s == ScaledJForm(WP, 2) and hash(s) == hash(ScaledJForm(WP, 2))
+        assert s != ScaledJForm(WP, 1) and s != ScaledJForm(E2, 2)
+        with pytest.raises(AttributeError):
+            s.c_power = 3
 
     def test_add_requires_matching_power(self):
         with pytest.raises(ValueError):

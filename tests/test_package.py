@@ -1,0 +1,81 @@
+"""The package surface and what a one-shot CLI query imports."""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import qjforms
+
+SRC = str(Path(qjforms.__file__).resolve().parent.parent)
+
+# The public names of the package, restated independently of __init__.
+EXPORTS = {
+    "ALGEBRA_GENERATORS", "Algebra", "BigradedSeries", "Bracket", "DEFAULT_QPREC", "DEFAULT_UMAX",
+    "Derivation", "DepthProfile", "DimFamily", "DWP", "E1", "E2", "E4", "EisensteinMethod",
+    "FAMILY_WEIGHTS", "Generator", "InconsistencyError", "ONE", "PrecisionError", "QJForm", "Rational",
+    "ScaledJForm", "SeriesDerivation", "StabilityReport", "WP", "ZERO", "alcuin", "bernoulli",
+    "binomial", "bracket", "check_stability", "derive", "dim_brute", "dim_closed", "e6_form",
+    "eisenstein_in_generators", "eisenstein_qseries", "eval_numeric", "expand", "in_span", "member",
+    "modular_dim", "monomials_of_weight", "nearest_int", "q_coefficient", "series_add",
+    "series_coefficients", "series_derive", "series_equal", "series_mul", "series_scale", "sigma",
+    "star_truncated", "transvectant_by_recurrence",
+}
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+class TestSurface:
+    def test_star_import_binds_all(self):
+        namespace: dict = {}
+        exec("from qjforms import *", namespace)
+        del namespace["__builtins__"]
+        assert len(EXPORTS) == 54
+        assert set(namespace) == set(qjforms.__all__) == EXPORTS
+        assert len(qjforms.__all__) == 54
+
+    def test_names_are_the_submodule_objects(self):
+        for name in EXPORTS:
+            owner = import_module(f"qjforms.{qjforms._EXPORTS[name]}")
+            assert getattr(qjforms, name) is getattr(owner, name), name
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qjforms.no_such_name  # noqa: B018
+        assert not hasattr(qjforms, "no_such_name")
+
+    def test_dir_lists_exports(self):
+        assert EXPORTS <= set(dir(qjforms))
+
+
+class TestColdStart:
+    def test_cli_import_loads_only_the_query_path(self):
+        probe = (
+            "import sys, qjforms; lazy = sorted(m for m in sys.modules if m.startswith('qjforms.')); "
+            "import qjforms.cli; print(lazy, [m for m in ('qjforms.verify', 'qjforms.series', "
+            "'qjforms.dimensions', 'dataclasses') if m in sys.modules])"
+        )
+        proc = python("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[] []"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--json", "expand", "wp"], ["--json", "dim", "DS", "12"], ["--json", "verify", "identities"]],
+    )
+    def test_lazily_imported_commands_run(self, argv):
+        proc = python("-m", "qjforms.cli", *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["ok"] is True
+
+    def test_unknown_suite_exits_two(self):
+        proc = python("-m", "qjforms.cli", "verify", "bogus")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "invalid choice: 'bogus'" in proc.stderr and "'identities'" in proc.stderr

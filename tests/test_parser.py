@@ -1,5 +1,7 @@
 """Expression parser and evaluator."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -29,6 +31,16 @@ class TestParse:
     def test_pow_sub_tree(self):
         tree = parse("wp^2 - 5*e4")
         assert tree == Sub(Pow(Var("wp"), 2), Mul(Lit(F(5)), Var("e4")))
+
+    def test_nodes_are_immutable_values(self):
+        a, b = Var("wp"), Lit(F(5))
+        assert Add(a, b) == Add(Var("wp"), Lit(F(5))) and hash(Add(a, b)) == hash(Add(a, b))
+        assert Add(a, b) != Sub(a, b) and Add(a, b) != Add(b, a)
+        with pytest.raises(AttributeError):
+            Add(a, b).left = b
+        tree = parse("rc(e4, wp^2, 1) - 5")
+        assert copy.deepcopy(tree) == tree and pickle.loads(pickle.dumps(tree)) == tree
+        assert repr(Pow(a, 2)) == "Pow(base=Var(name='wp'), exponent=2)"
 
     def test_bracket_call(self):
         tree = parse("rc(e4, wp, 1)")
