@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from ._value import Value
@@ -37,6 +38,7 @@ from .forms import (
     image_table,
     leibniz,
     member,
+    sum_of_products,
 )
 
 
@@ -99,8 +101,19 @@ _TABLES = {
 }
 
 
+# Entries of the derive memo.  Forms are immutable and hash once, so every
+# derivative tower, transvectant slot, recurrence step and verify battery
+# shares the derivatives it repeats; a few hundred entries cover the reuse
+# of one bracket chain, and a larger memo only raises peak memory.
+DERIVE_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=DERIVE_CACHE_SIZE)
 def derive(tag: Derivation, f: QJForm) -> QJForm:
-    """Apply one of the five derivations to an arbitrary form."""
+    """Apply one of the five derivations to an arbitrary form.
+
+    Memoised by (tag, f) in a bounded LRU table; see ``derive.cache_info()``.
+    """
     if tag is Derivation.DELTA:
         out = ZERO
         for k, comp in f.weight_components():
@@ -147,23 +160,16 @@ def bracket(tag: Bracket, f: QJForm, g: QJForm, n: int) -> QJForm:
     if tag is Bracket.TV:
         fslots = _tv_slots(f, n)
         gslots = _tv_slots(g, n)
-        out = ZERO
-        for r in range(n + 1):
-            coeff = binomial(n, r) * (-1 if r % 2 else 1)
-            out = out + coeff * (fslots[r] * gslots[n - r])
-        return out
+        return sum_of_products(((-1) ** r * binomial(n, r), fslots[r], gslots[n - r]) for r in range(n + 1))
     d = Derivation.DTAU if tag is Bracket.RC_TAU else Derivation.DJAC
     fcomps = [(k, _tower(d, comp, n)) for k, comp in f.weight_components()]
     gcomps = [(l, _tower(d, comp, n)) for l, comp in g.weight_components()]
-    out = ZERO
-    for k, ftower in fcomps:
-        for l, gtower in gcomps:
-            for r in range(n + 1):
-                coeff = binomial(k + n - 1, n - r) * binomial(l + n - 1, r)
-                if coeff:
-                    term = (ftower[r] * gtower[n - r]) * coeff
-                    out = out + (-term if r % 2 else term)
-    return out
+    return sum_of_products(
+        ((-1) ** r * binomial(k + n - 1, n - r) * binomial(l + n - 1, r), ftower[r], gtower[n - r])
+        for k, ftower in fcomps
+        for l, gtower in gcomps
+        for r in range(n + 1)
+    )
 
 
 def transvectant_by_recurrence(f: QJForm, g: QJForm, n: int) -> QJForm:

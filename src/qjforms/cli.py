@@ -14,19 +14,13 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .calculus import Bracket, bracket
-from .forms import Algebra, QJForm, ScaledJForm, member
-from .parser import EvalError, ParseError, parse_and_evaluate
-
 if TYPE_CHECKING:
     from .dimensions import DimFamily
+    from .forms import QJForm, ScaledJForm
     from .series import BigradedSeries
 
-# The series, dimensions and verify modules are imported by the commands
-# that run them, so a one-shot query loads only what it needs.
-
-_ALGEBRAS = {a.value.lower(): a for a in Algebra}
-_BRACKETS = {"rc": Bracket.RC_TAU, "rcd": Bracket.RC_D, "tv": Bracket.TV}
+# Every qjforms module is imported by the commands that run it, so a
+# one-shot query loads only what it needs: `dim` loads no expression stack.
 
 
 def _coeff_str(c: Fraction) -> str:
@@ -67,13 +61,20 @@ class UsageError(ValueError):
     """A command line that the README's usage does not allow (exit 2)."""
 
 
-def _require_plain_form(value: QJForm | ScaledJForm, command: str) -> QJForm:
+def _plain_form(expr: str, command: str) -> QJForm:
+    from .forms import ScaledJForm
+    from .parser import EvalError, parse_and_evaluate
+
+    value = parse_and_evaluate(expr)
     if isinstance(value, ScaledJForm):
         raise EvalError(f"{command} expects a plain form; q(...) carries a power of 2*i*pi")
     return value
 
 
 def _cmd_eval(args) -> int:
+    from .forms import ScaledJForm
+    from .parser import parse_and_evaluate
+
     value = parse_and_evaluate(args.expr)
     if isinstance(value, ScaledJForm):
         return _emit(args, _scaled_json(value), str(value))
@@ -81,8 +82,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_weight(args) -> int:
-    form = _require_plain_form(parse_and_evaluate(args.expr), "weight")
-    comps = form.weight_components()
+    from .parser import EvalError
+
+    comps = _plain_form(args.expr, "weight").weight_components()
     if not comps:
         raise EvalError("the zero form has no weight")
     weights = [w for w, _ in comps]
@@ -90,17 +92,17 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_depth(args) -> int:
-    form = _require_plain_form(parse_and_evaluate(args.expr), "depth")
-    profile = form.depth()
+    profile = _plain_form(args.expr, "depth").depth()
     return _emit(args, {"s1": profile.s1, "s2": profile.s2}, f"({profile.s1}, {profile.s2})")
 
 
 def _cmd_member(args) -> int:
-    algebra = _ALGEBRAS.get(args.algebra.lower())
+    from .forms import Algebra, member
+
+    algebra = next((a for a in Algebra if a.value.lower() == args.algebra.lower()), None)
     if algebra is None:
         raise UsageError(f"unknown algebra {args.algebra!r}; choose from {', '.join(a.value for a in Algebra)}")
-    form = _require_plain_form(parse_and_evaluate(args.expr), "member")
-    verdict = member(form, algebra)
+    verdict = member(_plain_form(args.expr, "member"), algebra)
     return _emit(args, verdict, "true" if verdict else "false")
 
 
@@ -156,8 +158,7 @@ def _cmd_expand(args) -> int:
 
     q_prec = _window_arg(args.qprec, "--qprec", "QJALG_QPREC", DEFAULT_QPREC, minimum=1)
     u_max = _window_arg(args.umax, "--umax", "QJALG_UMAX", DEFAULT_UMAX, minimum=None)
-    form = _require_plain_form(parse_and_evaluate(args.expr), "expand")
-    series = expand(form, q_prec, u_max)
+    series = expand(_plain_form(args.expr, "expand"), q_prec, u_max)
     lines = [f"weight {series.weight}, q_prec {series.q_prec}, u in [{series.u_val}, {series.u_max}]"]
     for (m, n), c in series.items():
         lines.append(f"q^{m} u^{n}\t{c}")
@@ -165,13 +166,13 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
-    tag = _BRACKETS.get(args.kind.lower())
+    from .calculus import Bracket, bracket
+
+    tag = next((b for b in Bracket if b.value == args.kind.lower()), None)
     if tag is None:
         raise UsageError(f"unknown bracket kind {args.kind!r}; choose rc, rcd or tv")
     n = _parse_int(args.n, "N")
-    f = _require_plain_form(parse_and_evaluate(args.f), "bracket")
-    g = _require_plain_form(parse_and_evaluate(args.g), "bracket")
-    value = bracket(tag, f, g, n)
+    value = bracket(tag, _plain_form(args.f, "bracket"), _plain_form(args.g, "bracket"), n)
     return _emit(args, _form_json(value), str(value))
 
 
@@ -270,13 +271,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
     except UsageError as exc:
         return _fail(args, exc, 2)
-    except (ValueError, ArithmeticError) as exc:
-        # Among them EvalError, PrecisionError and InconsistencyError.
+    except (ValueError, ArithmeticError, RecursionError) as exc:
+        # Among them EvalError, PrecisionError and InconsistencyError, and
+        # the recursion limit of a deep expression or Eisenstein index.
+        # A ParseError can only come from a command that imported the parser.
+        from .parser import ParseError
+
+        if isinstance(exc, ParseError):
+            print(f"syntax error: {exc}", file=sys.stderr)
+            return 2
         return _fail(args, exc, 1)
 
 

@@ -234,16 +234,8 @@ class QJForm:
 
     def __mul__(self, other: "QJForm | Scalar") -> "QJForm":
         if isinstance(other, QJForm):
-            a, b = self._num, other._num
-            if len(a) < len(b):
-                a, b = b, a
             out: dict[int, int] = {}
-            get = out.get
-            inner = tuple(b.items())
-            for k1, c1 in a.items():
-                for k2, c2 in inner:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
+            _add_product(out, 1, self._num, other._num)
             return _make(_check_guard(out), self._den * other._den)
         if isinstance(other, (int, Fraction)):
             if not other:
@@ -340,6 +332,36 @@ def _combine(f: QJForm, sign: int, g: QJForm) -> QJForm:
     for k, n in g._num.items():
         out[k] = get(k, 0) + n * mg
     return _make(out, den)
+
+
+def _add_product(out: dict[int, int], m: int, a: dict[int, int], b: dict[int, int]) -> None:
+    # out += m*a*b on numerator dicts: a monomial product is a key sum.
+    if len(a) < len(b):
+        a, b = b, a
+    get = out.get
+    inner = tuple(b.items())
+    for k1, c1 in a.items():
+        mc = m * c1
+        for k2, c2 in inner:
+            k = k1 + k2
+            out[k] = get(k, 0) + mc * c2
+
+
+def sum_of_products(terms: Iterable[tuple[Scalar, QJForm, QJForm]]) -> QJForm:
+    """The sum of s*f*g over the (s, f, g) triples, as one product kernel.
+
+    Every triple's products accumulate straight into one numerator dict over
+    the lcm of the triples' denominators, so a sum of many products makes no
+    intermediate form and takes one guard check and one gcd reduction.
+    """
+    scaled = [
+        (s.numerator, s.denominator * f._den * g._den, f._num, g._num) for s, f, g in terms if s and f._num and g._num
+    ]
+    den = lcm(*(d for _, d, _, _ in scaled))
+    out: dict[int, int] = {}
+    for n, d, a, b in scaled:
+        _add_product(out, n * (den // d), a, b)
+    return _make(_check_guard(out), den)
 
 
 def iter_terms(f: QJForm) -> Iterator[tuple[Exponents, Fraction]]:

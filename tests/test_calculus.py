@@ -222,6 +222,22 @@ class TestBrackets:
             bracket(Bracket.TV, WP, E1, -1)
 
 
+class TestDeriveMemo:
+    def test_memo_is_bounded(self):
+        maxsize = derive.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1024
+
+    def test_repeated_bracket_hits_and_clearing_changes_nothing(self):
+        f, g = WP * E1 - F(2, 3) * E4, DWP + F(5, 7) * E2 * E1
+        cached = [bracket(tag, f, g, n) for tag in Bracket for n in range(5)]
+        hits = derive.cache_info().hits
+        assert [bracket(tag, f, g, n) for tag in Bracket for n in range(5)] == cached
+        assert derive.cache_info().hits > hits
+        derive.cache_clear()
+        assert derive.cache_info().currsize == 0
+        assert [bracket(tag, f, g, n) for tag in Bracket for n in range(5)] == cached
+
+
 class TestBracketStabilityTheorems:
     def test_rc_tau_preserves_js0inf(self):
         rng = random.Random(41)

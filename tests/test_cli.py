@@ -56,6 +56,17 @@ class TestEval:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("expr", ["eis(3000)", "(" * 1200 + "wp" + ")" * 1200], ids=["eis3000", "nested1200"])
+    def test_recursion_limit_exit_one(self, capsys, expr):
+        # A deep Eisenstein recursion or a deeply nested expression fails
+        # with one error line, not a traceback.
+        code, out, err = run(capsys, "eval", expr)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        code, payload, err = run_json(capsys, "eval", expr)
+        assert code == 1 and payload["ok"] is False and payload["result"] is None
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestQueries:
     def test_weight(self, capsys):

@@ -1,7 +1,6 @@
 """Dimension formulas, recurrences, and counting oracles."""
 
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,13 +19,15 @@ from qjforms import (
 
 
 def naive_count(weights: tuple[int, ...], k: int) -> int:
-    # Independent oracle: plain nested enumeration of exponent vectors.
-    count = 0
-    ranges = [range(k // w + 1) for w in weights]
-    for combo in product(*ranges):
-        if sum(w * x for w, x in zip(weights, combo)) == k:
-            count += 1
-    return count
+    # Independent oracle: plain nested enumeration of exponent vectors, one
+    # exponent at a time, cut off once the partial weight passes k.
+    def count(i: int, partial: int) -> int:
+        if i == len(weights):
+            return int(partial == k)
+        w = weights[i]
+        return sum(count(i + 1, partial + w * x) for x in range((k - partial) // w + 1))
+
+    return count(0, 0)
 
 
 class TestModularDim:

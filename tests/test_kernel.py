@@ -2,8 +2,9 @@
 
 The reference below is the plain dict-of-Fraction arithmetic on exponent
 tuples, restated independently of ``qjforms.forms``: sums, products, the
-Leibniz rule on generator images, and the defining formulas of OB, DJAC and
-DELTA per weight component.  Forms enter and leave it through ``terms()``.
+Leibniz rule on generator images, the defining formulas of OB, DJAC and
+DELTA per weight component, and the brackets as a term-by-term accumulation
+over derivative towers.  Forms enter and leave it through ``terms()``.
 """
 
 from fractions import Fraction
@@ -12,7 +13,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qjforms import DWP, E2, WP, Derivation, QJForm, derive, q_coefficient
+from qjforms import DWP, E2, WP, Bracket, Derivation, QJForm, bracket, derive, q_coefficient
+from qjforms.forms import sum_of_products
 from qjforms.parser import parse_and_evaluate
 
 F = Fraction
@@ -89,13 +91,12 @@ def ref_components(a: dict) -> dict:
 
 
 def ref_derive(tag: Derivation, a: dict) -> dict:
-    dz, dtau = ref_leibniz(REF_DZ, a), ref_leibniz(REF_DTAU, a)
     if tag is Derivation.DZ:
-        return dz
+        return ref_leibniz(REF_DZ, a)
     if tag is Derivation.DTAU:
-        return dtau
+        return ref_leibniz(REF_DTAU, a)
     if tag is Derivation.DJAC:
-        return ref_add(dtau, ref_scale(F(1, 4), ref_mul({E1_: F(1)}, dz)))
+        return ref_add(ref_leibniz(REF_DTAU, a), ref_scale(F(1, 4), ref_mul({E1_: F(1)}, ref_leibniz(REF_DZ, a))))
     out: dict = {}
     for k, comp in ref_components(a).items():
         if tag is Derivation.DELTA:
@@ -112,6 +113,38 @@ def ref_q(a: dict, j1: int, j2: int) -> dict:
         w = comb(e, j1) * comb(d, j2)
         if w:
             _acc(out, (p, b, c, d - j2, e - j1), coeff * (-1) ** j1 * w)
+    return out
+
+
+def ref_bracket(tag: Bracket, a: dict, b: dict, n: int) -> dict:
+    """The n-th bracket accumulated one product at a time, from reference towers."""
+    if n == 0:
+        return ref_mul(a, b)
+
+    def tower(d, h):
+        out = [h]
+        for _ in range(n):
+            out.append(ref_derive(d, out[-1]))
+        return out
+
+    out: dict = {}
+    if tag is Bracket.TV:
+        fdz, gdz = tower(Derivation.DZ, a), tower(Derivation.DZ, b)
+        for r in range(n + 1):
+            fs, gs = fdz[r], gdz[n - r]  # then dtau^(n-r) dz^r f and dtau^r dz^(n-r) g
+            for _ in range(n - r):
+                fs = ref_derive(Derivation.DTAU, fs)
+            for _ in range(r):
+                gs = ref_derive(Derivation.DTAU, gs)
+            out = ref_add(out, ref_scale(F((-1) ** r * comb(n, r)), ref_mul(fs, gs)))
+        return out
+    d = Derivation.DTAU if tag is Bracket.RC_TAU else Derivation.DJAC
+    for k, fc in ref_components(a).items():
+        for l, gc in ref_components(b).items():
+            ft, gt = tower(d, fc), tower(d, gc)
+            for r in range(n + 1):
+                coeff = (-1) ** r * comb(k + n - 1, n - r) * comb(l + n - 1, r)
+                out = ref_add(out, ref_scale(F(coeff), ref_mul(ft[r], gt[n - r])))
     return out
 
 
@@ -140,6 +173,22 @@ def nonzero(a: dict) -> dict:
     return {e: c for e, c in a.items() if c}
 
 
+# Zero scalars and zero forms are allowed: they contribute nothing.
+scalars = st.integers(-6, 6) | coefficients
+
+
+@st.composite
+def triple_lists(draw):
+    """(scalar, form, form) triples with mixed denominators; they may cancel to zero."""
+    triples = draw(st.lists(st.tuples(scalars, raw_forms, raw_forms), max_size=5))
+    if draw(st.booleans()):
+        triples += [(s, b, {e: -c for e, c in a.items()}) for s, a, b in triples]
+    return triples
+
+
+small_forms = st.dictionaries(st.tuples(*(st.integers(0, 1) for _ in range(5))), coefficients, max_size=3)
+
+
 # -- differential tests ------------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
@@ -154,6 +203,28 @@ def test_ring_operations_match_reference(pair, r):
     assert ref(r * f) == ref(f * r) == ref_scale(F(r), a)
     assert ref(-f) == ref_scale(F(-1), a)
     assert len(f * g) == len(ref_mul(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(triple_lists())
+def test_sum_of_products_matches_reference(triples):
+    got = sum_of_products((s, QJForm(a), QJForm(b)) for s, a, b in triples)
+    expected: dict = {}
+    for s, a, b in triples:
+        expected = ref_add(expected, ref_scale(F(s), ref_mul(nonzero(a), nonzero(b))))
+    assert ref(got) == expected
+    # canonical storage: equal to, and hashed like, the form built from the terms
+    rebuilt = QJForm(list(expected.items()))
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_forms, small_forms, st.integers(0, 5))
+def test_brackets_match_accumulated_reference(a, b, n):
+    # Mixed-weight forms: the Rankin-Cohen brackets split them into components.
+    f, g, a, b = QJForm(a), QJForm(b), nonzero(a), nonzero(b)
+    for tag in Bracket:
+        assert ref(bracket(tag, f, g, n)) == ref_bracket(tag, a, b, n), (tag, n)
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,6 +285,20 @@ def test_product_overflowing_a_field_raises(field):
     gen[field] = 1
     with pytest.raises(ValueError):
         QJForm.monomial(tuple(expos)) * QJForm.monomial(tuple(gen))
+
+
+def test_fused_sum_overflowing_a_field_raises():
+    big = QJForm.monomial((0, 0, 0, 0, 20000))
+    with pytest.raises(ValueError):
+        sum_of_products([(1, E2, E2), (F(1, 3), big, big)])
+
+
+@pytest.mark.parametrize("tag", list(Bracket))
+def test_bracket_overflowing_a_field_raises(tag):
+    # dtau(wp^20000) holds wp^20001, so every first-order bracket passes 32767.
+    big = QJForm.monomial((20000, 0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        bracket(tag, big, big, 1)
 
 
 def test_derivation_overflowing_a_field_raises():

@@ -60,11 +60,24 @@ class TestColdStart:
         probe = (
             "import sys, qjforms; lazy = sorted(m for m in sys.modules if m.startswith('qjforms.')); "
             "import qjforms.cli; print(lazy, [m for m in ('qjforms.verify', 'qjforms.series', "
-            "'qjforms.dimensions', 'dataclasses') if m in sys.modules])"
+            "'qjforms.dimensions', 'qjforms.forms', 'qjforms.calculus', 'qjforms.parser', 'dataclasses') "
+            "if m in sys.modules])"
         )
         proc = python("-c", probe)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[] []"
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["dim", "DS", "12"], 0), (["--json", "dim", "table", "DSinf", "5"], 0), (["dim", "XX", "3"], 2)]
+    )
+    def test_dim_loads_no_expression_stack(self, argv, code):
+        probe = (
+            f"import sys, qjforms.cli; code = qjforms.cli.main({argv!r}); "
+            "print(code, [m for m in ('qjforms.forms', 'qjforms.calculus', 'qjforms.parser') if m in sys.modules])"
+        )
+        proc = python("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"{code} []"
 
     @pytest.mark.parametrize(
         "argv",
