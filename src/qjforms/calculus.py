@@ -1,7 +1,7 @@
 """Derivations, Rankin-Cohen brackets, transvectants and stability checks.
 
-Every derivation but ``DELTA`` extends a generator-image table by the
-Leibniz rule (:func:`qjforms.forms.leibniz`).  The two primitive ones:
+Every derivation extends a generator-image table by the Leibniz rule
+(:func:`qjforms.forms.leibniz`).  The two primitive ones:
 
 * ``DZ`` (elliptic, weight +1): wp -> dwp, dwp -> 6wp^2 - 30e4, e4 -> 0,
   e1 -> -wp - e2, e2 -> 0.
@@ -11,8 +11,8 @@ Leibniz rule (:func:`qjforms.forms.leibniz`).  The two primitive ones:
 ``OB`` is 4*DTAU + e1*DZ - (weight)*e2, whose generator images are
 4*dtau(x) + e1*dz(x) - w(x)*e2*x; its restriction to the modular subalgebra
 is the Serre derivation.  ``DJAC`` is DTAU + (1/4)e1*DZ, with images
-dtau(x) + (1/4)*e1*dz(x).  ``DELTA`` is diagonal: it multiplies a weight-k
-component by k/2.
+dtau(x) + (1/4)*e1*dz(x).  ``DELTA``, the half-weight Euler operator, has
+images (w(x)/2)*x, so the Leibniz rule multiplies a weight-k component by k/2.
 """
 
 from __future__ import annotations
@@ -92,12 +92,14 @@ _OB_IMAGES = tuple(
     for t, z, w, x in zip(_DTAU_IMAGES, _DZ_IMAGES, GENERATOR_WEIGHTS, _GENERATORS)
 )
 _DJAC_IMAGES = tuple(t + _QUARTER * (E1 * z) for t, z in zip(_DTAU_IMAGES, _DZ_IMAGES))
+_DELTA_IMAGES = tuple(Fraction(w, 2) * x for w, x in zip(GENERATOR_WEIGHTS, _GENERATORS))
 
 _TABLES = {
     Derivation.DZ: image_table(_DZ_IMAGES),
     Derivation.DTAU: image_table(_DTAU_IMAGES),
     Derivation.OB: image_table(_OB_IMAGES),
     Derivation.DJAC: image_table(_DJAC_IMAGES),
+    Derivation.DELTA: image_table(_DELTA_IMAGES),
 }
 
 
@@ -114,11 +116,6 @@ def derive(tag: Derivation, f: QJForm) -> QJForm:
 
     Memoised by (tag, f) in a bounded LRU table; see ``derive.cache_info()``.
     """
-    if tag is Derivation.DELTA:
-        out = ZERO
-        for k, comp in f.weight_components():
-            out = out + Fraction(k, 2) * comp
-        return out
     table = _TABLES.get(tag)
     if table is None:
         raise ValueError(f"unknown derivation {tag!r}")
@@ -134,16 +131,7 @@ def _tower(d: Derivation, f: QJForm, n: int) -> list[QJForm]:
 
 def _tv_slots(f: QJForm, n: int) -> list[QJForm]:
     # slots[r] = dtau^(n-r) dz^r f
-    slots = []
-    dzr = f
-    for r in range(n + 1):
-        v = dzr
-        for _ in range(n - r):
-            v = derive(Derivation.DTAU, v)
-        slots.append(v)
-        if r < n:
-            dzr = derive(Derivation.DZ, dzr)
-    return slots
+    return [_tower(Derivation.DTAU, v, n - r)[-1] for r, v in enumerate(_tower(Derivation.DZ, f, n))]
 
 
 def bracket(tag: Bracket, f: QJForm, g: QJForm, n: int) -> QJForm:

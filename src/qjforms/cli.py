@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .dimensions import DimFamily
+    from enum import Enum
+
     from .forms import QJForm, ScaledJForm
     from .series import BigradedSeries
 
@@ -61,6 +62,14 @@ class UsageError(ValueError):
     """A command line that the README's usage does not allow (exit 2)."""
 
 
+def _choose(choices: type[Enum], name: str, role: str) -> Enum:
+    """The member of an enum whose value is name, ignoring case."""
+    for choice in choices:
+        if choice.value.lower() == name.lower():
+            return choice
+    raise UsageError(f"unknown {role} {name!r}; choose from {', '.join(c.value for c in choices)}")
+
+
 def _plain_form(expr: str, command: str) -> QJForm:
     from .forms import ScaledJForm
     from .parser import EvalError, parse_and_evaluate
@@ -99,37 +108,26 @@ def _cmd_depth(args) -> int:
 def _cmd_member(args) -> int:
     from .forms import Algebra, member
 
-    algebra = next((a for a in Algebra if a.value.lower() == args.algebra.lower()), None)
-    if algebra is None:
-        raise UsageError(f"unknown algebra {args.algebra!r}; choose from {', '.join(a.value for a in Algebra)}")
+    algebra = _choose(Algebra, args.algebra, "algebra")
     verdict = member(_plain_form(args.expr, "member"), algebra)
     return _emit(args, verdict, "true" if verdict else "false")
 
 
-def _parse_family(name: str) -> DimFamily:
-    from .dimensions import DimFamily
-
-    for family in DimFamily:
-        if family.value.lower() == name.lower():
-            return family
-    raise UsageError(f"unknown family {name!r}; choose from {', '.join(f.value for f in DimFamily)}")
-
-
 def _cmd_dim(args) -> int:
-    from .dimensions import dim_closed
+    from .dimensions import DimFamily, dim_closed
 
     parts = args.parts
     if parts and parts[0].lower() == "table":
         if len(parts) != 3:
             raise UsageError("usage: dim table FAMILY KMAX")
-        family = _parse_family(parts[1])
+        family = _choose(DimFamily, parts[1], "family")
         kmax = _parse_int(parts[2], "KMAX")
         values = [dim_closed(family, k) for k in range(kmax + 1)]
         text = "\n".join(f"{k}\t{v}" for k, v in enumerate(values))
         return _emit(args, values, text)
     if len(parts) != 2:
         raise UsageError("usage: dim FAMILY K  |  dim table FAMILY KMAX")
-    family = _parse_family(parts[0])
+    family = _choose(DimFamily, parts[0], "family")
     k = _parse_int(parts[1], "K")
     value = dim_closed(family, k)
     return _emit(args, value, str(value))
@@ -168,9 +166,7 @@ def _cmd_expand(args) -> int:
 def _cmd_bracket(args) -> int:
     from .calculus import Bracket, bracket
 
-    tag = next((b for b in Bracket if b.value == args.kind.lower()), None)
-    if tag is None:
-        raise UsageError(f"unknown bracket kind {args.kind!r}; choose rc, rcd or tv")
+    tag = _choose(Bracket, args.kind, "bracket kind")
     n = _parse_int(args.n, "N")
     value = bracket(tag, _plain_form(args.f, "bracket"), _plain_form(args.g, "bracket"), n)
     return _emit(args, _form_json(value), str(value))
@@ -280,15 +276,14 @@ def main(argv: list[str] | None = None) -> int:
         from .parser import ParseError
 
         if isinstance(exc, ParseError):
-            print(f"syntax error: {exc}", file=sys.stderr)
-            return 2
+            return _fail(args, exc, 2, "syntax error")
         return _fail(args, exc, 1)
 
 
-def _fail(args: argparse.Namespace, exc: Exception, code: int) -> int:
+def _fail(args: argparse.Namespace, exc: Exception, code: int, label: str = "error") -> int:
     if args.json:
         print(json.dumps({"ok": False, "result": None, "errors": [str(exc)]}))
-    print(f"error: {exc}", file=sys.stderr)
+    print(f"{label}: {exc}", file=sys.stderr)
     return code
 
 

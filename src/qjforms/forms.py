@@ -78,9 +78,6 @@ class DepthProfile(NamedTuple):
     s1: int
     s2: int
 
-    def __add__(self, other: "DepthProfile") -> "DepthProfile":  # type: ignore[override]
-        return DepthProfile(self.s1 + other[0], self.s2 + other[1])
-
 
 def weight_of_exponents(expos: Exponents) -> int:
     a, b, c, d, e = expos
@@ -132,8 +129,8 @@ class QJForm:
                 key = _pack(expos)
                 data[key] = data.get(key, 0) + Fraction(coeff)
         den = lcm(*(c.denominator for c in data.values()))
-        num = {k: c.numerator * (den // c.denominator) for k, c in data.items() if c}
-        self._num, self._den = _reduce(num, den)
+        made = _make({k: c.numerator * (den // c.denominator) for k, c in data.items()}, den)
+        self._num, self._den = made._num, made._den
         self._hash = None
 
     @classmethod
@@ -164,10 +161,6 @@ class QJForm:
 
     def __len__(self) -> int:
         return len(self._num)
-
-    def is_homogeneous(self) -> bool:
-        weights = {_key_weight(k) for k in self._num}
-        return len(weights) <= 1
 
     def weight(self) -> int:
         """Weight of a nonzero homogeneous form."""
@@ -296,20 +289,18 @@ class QJForm:
         return f"QJForm({str(self)})"
 
 
-def _reduce(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
-    # Canonical (numerators, denominator): no zero numerator, gcd 1.
-    if not num:
-        return num, 1
-    if den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            return {k: n // g for k, n in num.items()}, den // g
-    return num, den
-
-
 def _make(num: dict[int, int], den: int) -> QJForm:
-    """Canonical form of the numerators over den > 0; zero numerators are dropped."""
-    return QJForm._raw(*_reduce({k: n for k, n in num.items() if n}, den))
+    """Canonical form of the numerators over den > 0: no zero numerator, gcd 1.
+
+    Zero numerators leave the gcd unchanged, so one gcd serves both rules
+    (with only zeros it is den itself, so zero comes out over 1), and num is
+    copied at most once, only when it holds a zero or the gcd is not 1.
+    """
+    g = gcd(den, *num.values()) if den != 1 else 1
+    if g != 1 or 0 in num.values():
+        num = {k: n // g for k, n in num.items() if n}
+        den //= g
+    return QJForm._raw(num, den)
 
 
 def _combine(f: QJForm, sign: int, g: QJForm) -> QJForm:

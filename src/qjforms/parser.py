@@ -17,11 +17,12 @@ q and eis must be nonnegative integer literals.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 from ._value import Value
 from .calculus import Bracket, Derivation, bracket, derive
-from .forms import DWP, E1, E2, E4, WP, QJForm, ScaledJForm, e6_form, eisenstein_in_generators, q_coefficient
+from .forms import Generator, QJForm, ScaledJForm, e6_form, eisenstein_in_generators, q_coefficient
 
 
 class ParseError(ValueError):
@@ -71,19 +72,25 @@ class Call(Value):
 
 Expr = Union[Lit, Var, Neg, Add, Sub, Mul, Pow, Call]
 
-_VARIABLES = ("wp", "dwp", "e1", "e2", "e4", "e6")
-# function name -> (number of form arguments, number of trailing integer arguments)
+# variable name -> form
+_VARIABLES = {**{g.symbol: QJForm.generator(g) for g in Generator}, "e6": e6_form()}
+
+
+def _eisenstein(two_n: int) -> QJForm:
+    try:
+        return eisenstein_in_generators(two_n)
+    except ValueError as exc:
+        raise EvalError(str(exc)) from exc
+
+
+# function name -> (number of form arguments, number of trailing integer
+# arguments, implementation); the derivation and bracket names are the
+# values of their enums.
 _FUNCTIONS = {
-    "dz": (1, 0),
-    "dtau": (1, 0),
-    "ob": (1, 0),
-    "d": (1, 0),
-    "delta": (1, 0),
-    "rc": (2, 1),
-    "rcd": (2, 1),
-    "tv": (2, 1),
-    "q": (1, 2),
-    "eis": (0, 1),
+    **{tag.value: (1, 0, partial(derive, tag)) for tag in Derivation},
+    **{tag.value: (2, 1, partial(bracket, tag)) for tag in Bracket},
+    "q": (1, 2, q_coefficient),
+    "eis": (0, 1, _eisenstein),
 }
 
 _SYMBOLS = "+-*^(),/"
@@ -249,7 +256,7 @@ class _Parser:
         raise ParseError(f"unexpected {shown!r}", tok[2])
 
     def _make_call(self, name: str, args: list, position: int) -> Call:
-        n_forms, n_ints = _FUNCTIONS[name]
+        n_forms, n_ints, _ = _FUNCTIONS[name]
         if len(args) != n_forms + n_ints:
             raise ParseError(
                 f"{name} takes {n_forms + n_ints} argument(s), got {len(args)}", position
@@ -270,29 +277,6 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-_VARIABLE_FORMS = {
-    "wp": WP,
-    "dwp": DWP,
-    "e1": E1,
-    "e2": E2,
-    "e4": E4,
-}
-
-_DERIVATION_CALLS = {
-    "dz": Derivation.DZ,
-    "dtau": Derivation.DTAU,
-    "ob": Derivation.OB,
-    "d": Derivation.DJAC,
-    "delta": Derivation.DELTA,
-}
-
-_BRACKET_CALLS = {
-    "rc": Bracket.RC_TAU,
-    "rcd": Bracket.RC_D,
-    "tv": Bracket.TV,
-}
-
-
 def _form_operand(value: QJForm | ScaledJForm, context: str) -> QJForm:
     if isinstance(value, ScaledJForm):
         raise EvalError(f"q(...) results cannot be used inside {context}")
@@ -304,9 +288,7 @@ def evaluate(expr: Expr) -> QJForm | ScaledJForm:
     if isinstance(expr, Lit):
         return QJForm.constant(expr.value)
     if isinstance(expr, Var):
-        if expr.name == "e6":
-            return e6_form()
-        return _VARIABLE_FORMS[expr.name]
+        return _VARIABLES[expr.name]
     if isinstance(expr, Neg):
         return -1 * _form_operand(evaluate(expr.operand), "negation")
     if isinstance(expr, Add):
@@ -323,22 +305,10 @@ def evaluate(expr: Expr) -> QJForm | ScaledJForm:
         )
     if isinstance(expr, Pow):
         return _form_operand(evaluate(expr.base), "powers") ** expr.exponent
-    if isinstance(expr, Call):
-        if expr.fn in _DERIVATION_CALLS:
-            f = _form_operand(evaluate(expr.args[0]), expr.fn)
-            return derive(_DERIVATION_CALLS[expr.fn], f)
-        if expr.fn in _BRACKET_CALLS:
-            f = _form_operand(evaluate(expr.args[0]), expr.fn)
-            g = _form_operand(evaluate(expr.args[1]), expr.fn)
-            return bracket(_BRACKET_CALLS[expr.fn], f, g, expr.args[2])
-        if expr.fn == "q":
-            f = _form_operand(evaluate(expr.args[0]), "q")
-            return q_coefficient(f, expr.args[1], expr.args[2])
-        if expr.fn == "eis":
-            try:
-                return eisenstein_in_generators(expr.args[0])
-            except ValueError as exc:
-                raise EvalError(str(exc)) from exc
+    if isinstance(expr, Call) and expr.fn in _FUNCTIONS:
+        n_forms, _, implementation = _FUNCTIONS[expr.fn]
+        forms = [_form_operand(evaluate(arg), expr.fn) for arg in expr.args[:n_forms]]
+        return implementation(*forms, *expr.args[n_forms:])
     raise EvalError(f"cannot evaluate node {expr!r}")
 
 

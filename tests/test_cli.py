@@ -42,9 +42,16 @@ class TestEval:
         }
 
     def test_syntax_error_exit_two(self, capsys):
-        code, _, err = run(capsys, "eval", "wp^(1/2)")
-        assert code == 2
+        code, out, err = run(capsys, "eval", "wp^(1/2)")
+        assert code == 2 and out == ""
         assert "syntax error" in err and "offset" in err
+        # Under --json a syntax error prints the failure envelope like every
+        # other error; the exit code and the stderr line stay as in text mode.
+        message = "exponent must be a nonnegative integer literal (at offset 4)"
+        code, payload, err = run_json(capsys, "eval", "e4^(")
+        assert code == 2
+        assert payload == {"ok": False, "result": None, "errors": [message]}
+        assert err == f"syntax error: {message}\n"
 
     def test_domain_error_exit_one(self, capsys):
         code, _, err = run(capsys, "eval", "eis(7)")
@@ -164,7 +171,9 @@ class TestBracketCommand:
         assert out.strip() == "-1/4*e2^3 - 1/4*wp*e2^2 + 5/4*e4*e2 + 5/4*wp*e4"
 
     def test_bad_kind(self, capsys):
-        assert run(capsys, "bracket", "xx", "e2", "e1", "1")[0] == 2
+        code, out, err = run(capsys, "bracket", "xx", "e2", "e1", "1")
+        assert code == 2 and out == ""
+        assert err == "error: unknown bracket kind 'xx'; choose from rc, rcd, tv\n"
 
     def test_negative_order_is_usage_error(self, capsys):
         code, out, err = run(capsys, "bracket", "rc", "wp", "e4", "-1")

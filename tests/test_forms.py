@@ -137,7 +137,8 @@ class TestDepth:
             g = random_form(rng, rng.randint(1, 10))
             if f is None or g is None:
                 continue
-            assert (f * g).depth() == f.depth() + g.depth()
+            (s1, s2), (t1, t2) = f.depth(), g.depth()
+            assert (f * g).depth() == (s1 + t1, s2 + t2)
 
 
 class TestMembership:

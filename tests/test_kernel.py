@@ -173,6 +173,18 @@ def nonzero(a: dict) -> dict:
     return {e: c for e, c in a.items() if c}
 
 
+def canonical(x: QJForm) -> None:
+    """x is stored canonically: equal to, and hashed like, the form rebuilt from its terms.
+
+    A form built from nonzero reduced fractions over their lcm has gcd 1, so
+    a stored zero numerator or an unreduced gcd makes the two unequal.
+    """
+    terms = x.terms()
+    assert all(c for _, c in terms)
+    rebuilt = QJForm(terms)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
 # Zero scalars and zero forms are allowed: they contribute nothing.
 scalars = st.integers(-6, 6) | coefficients
 
@@ -203,6 +215,13 @@ def test_ring_operations_match_reference(pair, r):
     assert ref(r * f) == ref(f * r) == ref_scale(F(r), a)
     assert ref(-f) == ref_scale(F(-1), a)
     assert len(f * g) == len(ref_mul(a, b))
+    for x in (f + g, f - g, -f, r * f, f * r, f * g):
+        canonical(x)
+    h = f + g
+    parts = h.weight_components()
+    assert {k: ref(part) for k, part in parts} == ref_components(ref(h))
+    for _, part in parts:
+        canonical(part)
 
 
 @settings(max_examples=100, deadline=None)
@@ -213,9 +232,7 @@ def test_sum_of_products_matches_reference(triples):
     for s, a, b in triples:
         expected = ref_add(expected, ref_scale(F(s), ref_mul(nonzero(a), nonzero(b))))
     assert ref(got) == expected
-    # canonical storage: equal to, and hashed like, the form built from the terms
-    rebuilt = QJForm(list(expected.items()))
-    assert got == rebuilt and hash(got) == hash(rebuilt)
+    canonical(got)
 
 
 @settings(max_examples=25, deadline=None)
@@ -224,7 +241,9 @@ def test_brackets_match_accumulated_reference(a, b, n):
     # Mixed-weight forms: the Rankin-Cohen brackets split them into components.
     f, g, a, b = QJForm(a), QJForm(b), nonzero(a), nonzero(b)
     for tag in Bracket:
-        assert ref(bracket(tag, f, g, n)) == ref_bracket(tag, a, b, n), (tag, n)
+        got = bracket(tag, f, g, n)
+        assert ref(got) == ref_bracket(tag, a, b, n), (tag, n)
+        canonical(got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -232,7 +251,9 @@ def test_brackets_match_accumulated_reference(a, b, n):
 def test_derivations_match_reference(a):
     f, a = QJForm(a), nonzero(a)
     for tag in Derivation:
-        assert ref(derive(tag, f)) == ref_derive(tag, a), tag
+        got = derive(tag, f)
+        assert ref(got) == ref_derive(tag, a), tag
+        canonical(got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -242,6 +263,7 @@ def test_q_coefficient_matches_reference(a, j1, j2):
     expected = ref_q(nonzero(a), j1, j2) if j1 >= 0 and j2 >= 0 else {}
     assert ref(got.form) == expected
     assert got.c_power == (j1 + j2 if expected else 0)
+    canonical(got.form)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
-"""The package surface and what a one-shot CLI query imports."""
+"""The package surface, what a one-shot CLI query imports, and who reads private fields."""
 
+import ast
 import json
 import os
 import subprocess
@@ -53,6 +54,32 @@ class TestSurface:
 
     def test_dir_lists_exports(self):
         assert EXPORTS <= set(dir(qjforms))
+
+
+class TestPrivateFields:
+    # The private storage of a QJForm belongs to forms.py and that of a
+    # BigradedSeries to series.py; every other module goes through their API.
+    OWNERS = {"_num": "forms.py", "_den": "forms.py", "_hash": "forms.py", "_coeffs": "series.py"}
+    # _raw is each class's own unchecked constructor.
+    RAW_OWNERS = {"QJForm": "forms.py", "BigradedSeries": "series.py"}
+
+    def test_no_module_reaches_into_another(self):
+        sources = sorted(Path(SRC, "qjforms").glob("*.py"))
+        assert {"forms.py", "series.py", "calculus.py", "parser.py", "verify.py"} <= {p.name for p in sources}
+        offences = []
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if node.attr == "_raw":
+                    owner = isinstance(node.value, ast.Name) and self.RAW_OWNERS.get(node.value.id)
+                elif node.attr in self.OWNERS:
+                    owner = self.OWNERS[node.attr]
+                else:
+                    continue
+                if owner != path.name:
+                    offences.append(f"{path.name}:{node.lineno} .{node.attr}")
+        assert offences == []
 
 
 class TestColdStart:

@@ -107,6 +107,10 @@ class TestEvaluate:
         assert parse_and_evaluate("dtau(e2)") == F(1, 4) * (E2**2 - 5 * E4)
         assert parse_and_evaluate("d(e1)") == derive(Derivation.DJAC, E1)
         assert parse_and_evaluate("delta(e4)") == 2 * E4
+        # every derivation is callable by its enum value, on a mixed-weight form
+        f = E1 * WP - F(3, 7) * E4 + E2**2
+        for tag in Derivation:
+            assert parse_and_evaluate(f"{tag.value}(e1*wp - 3/7*e4 + e2^2)") == derive(tag, f), tag
 
     def test_q_call(self):
         assert parse_and_evaluate("q(e2, 1, 0)") == ScaledJForm(QJForm.constant(-1), 1)
@@ -118,6 +122,11 @@ class TestEvaluate:
     def test_brackets(self):
         assert parse_and_evaluate("tv(e2, e1, 1)") == bracket(Bracket.TV, E2, E1, 1)
         assert parse_and_evaluate("rcd(e4, wp, 1)") == bracket(Bracket.RC_D, E4, WP, 1)
+        # every bracket is callable by its enum value, on mixed-weight forms
+        f, g = E1 + E4, DWP - E2 * E1
+        for tag in Bracket:
+            for n in range(3):
+                assert parse_and_evaluate(f"{tag.value}(e1 + e4, dwp - e2*e1, {n})") == bracket(tag, f, g, n), (tag, n)
 
     def test_scaled_form_cannot_nest(self):
         with pytest.raises(EvalError):
