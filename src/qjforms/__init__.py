@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "arith": ("Rational", "bernoulli", "binomial", "sigma"),
+        "arith": ("bernoulli", "binomial", "sigma"),
         "calculus": (
             "ALGEBRA_GENERATORS",
             "Bracket",
@@ -53,7 +53,6 @@ _EXPORTS = {
             "ScaledJForm",
             "e6_form",
             "eisenstein_in_generators",
-            "in_span",
             "member",
             "monomials_of_weight",
             "q_coefficient",

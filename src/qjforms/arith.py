@@ -12,9 +12,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-# Coefficient field of the whole package.
-Rational = Fraction
-
 
 @lru_cache(maxsize=None)
 def bernoulli(n: int) -> Fraction:

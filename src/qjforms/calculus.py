@@ -3,8 +3,9 @@
 Every derivation extends a generator-image table by the Leibniz rule
 (:func:`qjforms.forms.leibniz`).  The two primitive ones:
 
-* ``DZ`` (elliptic, weight +1): wp -> dwp, dwp -> 6wp^2 - 30e4, e4 -> 0,
-  e1 -> -wp - e2, e2 -> 0.
+* ``DZ`` (elliptic, weight +1): the images :data:`qjforms.forms.DZ_IMAGES`,
+  defined with the forms because M and Minf are the dz-constants of JS and
+  JSinf0 (:func:`qjforms.forms.member`).
 * ``DTAU`` (modular, weight +2): the normalized (pi/2i) d/dtau, whose
   generator images are the rational combinations below.
 
@@ -26,12 +27,13 @@ from ._value import Value
 from .arith import binomial
 from .forms import (
     DWP,
+    DZ_IMAGES,
+    DZ_TABLE,
     E1,
     E2,
     E4,
     GENERATOR_WEIGHTS,
     WP,
-    ZERO,
     Algebra,
     QJForm,
     e6_form,
@@ -71,13 +73,6 @@ _QUARTER = Fraction(1, 4)
 
 # Generator images, indexed like the exponent tuple (wp, dwp, e4, e1, e2).
 _GENERATORS = (WP, DWP, E4, E1, E2)
-_DZ_IMAGES = (
-    DWP,
-    6 * WP**2 - 30 * E4,
-    ZERO,
-    -WP - E2,
-    ZERO,
-)
 _DTAU_IMAGES = (
     -_QUARTER * (E1 * DWP) - _HALF * WP**2 + _HALF * (E2 * WP) + 5 * E4,
     Fraction(3, 2) * ((5 * E4 - WP**2) * E1) + Fraction(3, 4) * ((E2 - WP) * DWP),
@@ -89,13 +84,13 @@ _DTAU_IMAGES = (
 # on each generator x; the Leibniz rule then gives the weight term k*e2*f.
 _OB_IMAGES = tuple(
     4 * t + E1 * z - w * (E2 * x)
-    for t, z, w, x in zip(_DTAU_IMAGES, _DZ_IMAGES, GENERATOR_WEIGHTS, _GENERATORS)
+    for t, z, w, x in zip(_DTAU_IMAGES, DZ_IMAGES, GENERATOR_WEIGHTS, _GENERATORS)
 )
-_DJAC_IMAGES = tuple(t + _QUARTER * (E1 * z) for t, z in zip(_DTAU_IMAGES, _DZ_IMAGES))
+_DJAC_IMAGES = tuple(t + _QUARTER * (E1 * z) for t, z in zip(_DTAU_IMAGES, DZ_IMAGES))
 _DELTA_IMAGES = tuple(Fraction(w, 2) * x for w, x in zip(GENERATOR_WEIGHTS, _GENERATORS))
 
 _TABLES = {
-    Derivation.DZ: image_table(_DZ_IMAGES),
+    Derivation.DZ: DZ_TABLE,
     Derivation.DTAU: image_table(_DTAU_IMAGES),
     Derivation.OB: image_table(_OB_IMAGES),
     Derivation.DJAC: image_table(_DJAC_IMAGES),

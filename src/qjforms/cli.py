@@ -62,6 +62,13 @@ class UsageError(ValueError):
     """A command line that the README's usage does not allow (exit 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    # Subparsers are made with the parent's class, so every command line that
+    # argparse rejects takes the one usage-error path of main().
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _choose(choices: type[Enum], name: str, role: str) -> Enum:
     """The member of an enum whose value is name, ignoring case."""
     for choice in choices:
@@ -200,8 +207,8 @@ def _cmd_verify(args) -> int:
 
 
 def _suite_name(name: str) -> str:
-    # An argparse type, so that an unknown suite still exits 2 through
-    # argparse while verify is imported only when the verify command runs.
+    # An argparse type, so that an unknown suite is rejected by argparse
+    # while verify is imported only when the verify command runs.
     from .verify import SUITE_NAMES
 
     if name not in SUITE_NAMES:
@@ -212,7 +219,7 @@ def _suite_name(name: str) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qjalg",
         description="Exact computer algebra for index-zero singular quasi-Jacobi forms.",
     )
@@ -263,9 +270,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # argparse sets --json on args before it parses the command, so a failure
+    # in the command's arguments still reports in the requested mode.
+    args = argparse.Namespace()
     try:
+        _build_parser().parse_args(argv, namespace=args)
         return args.func(args)
     except UsageError as exc:
         return _fail(args, exc, 2)

@@ -461,6 +461,18 @@ class Algebra(Enum):
     JSINF = "JSinf"
 
 
+# Per algebra: the exponent fields its monomials may not use, and whether
+# its forms must also be dz-constants (M and Minf; see member).
+_MEMBERSHIP: dict[Algebra, tuple[int, bool]] = {
+    Algebra.JSINF: (0, False),
+    Algebra.JSINF0: (_E1_FIELD, False),
+    Algebra.JS0INF: (_E2_FIELD, False),
+    Algebra.JS: (_E1_FIELD | _E2_FIELD, False),
+    Algebra.M: (_E1_FIELD | _E2_FIELD, True),
+    Algebra.MINF: (_E1_FIELD, True),
+}
+
+
 @lru_cache(maxsize=1)
 def e6_form() -> QJForm:
     """The weight-6 Eisenstein combination -(1/140)dwp^2 + (1/35)wp^3 - (3/7)wp*e4."""
@@ -473,16 +485,23 @@ def e6_form() -> QJForm:
     )
 
 
+# Images of wp, dwp, e4, e1, e2 under the elliptic derivation dz (weight +1),
+# packed for the Leibniz kernel; calculus builds dz, ob and d from them.
+DZ_IMAGES = (DWP, 6 * WP**2 - 30 * E4, ZERO, -WP - E2, ZERO)
+DZ_TABLE = image_table(DZ_IMAGES)
+
+
 def monomials_of_weight(k: int, algebra: Algebra = Algebra.JSINF) -> list[Exponents]:
     """All exponent tuples of weight k whose support fits the given algebra.
 
     Only the four monomial subalgebras are supported; M and Minf are not
     spanned by monomials in these generators.
     """
-    if algebra in (Algebra.M, Algebra.MINF):
+    fields, dz_constant = _MEMBERSHIP[algebra]
+    if dz_constant:
         raise ValueError("M and Minf are not monomial subalgebras of the five generators")
-    allow_d = algebra in (Algebra.JS0INF, Algebra.JSINF)
-    allow_e = algebra in (Algebra.JSINF0, Algebra.JSINF)
+    allow_d = not fields & _E1_FIELD
+    allow_e = not fields & _E2_FIELD
     out: list[Exponents] = []
     for e in range((k // 2 if allow_e else 0) + 1):
         we = k - 2 * e
@@ -497,81 +516,24 @@ def monomials_of_weight(k: int, algebra: Algebra = Algebra.JSINF) -> list[Expone
     return out
 
 
-def _eliminate(vec: dict[int, int], rows: list[tuple[int, dict[int, int]]]) -> dict[int, int]:
-    # Fraction-free: clearing a pivot scales vec by the row's pivot entry,
-    # which leaves the span question unchanged.
-    for pivot, row in rows:
-        factor = vec.get(pivot)
-        if factor:
-            head = row[pivot]
-            vec = {k: n * head for k, n in vec.items()}
-            for k, n in row.items():
-                acc = vec.get(k, 0) - factor * n
-                if acc:
-                    vec[k] = acc
-                else:
-                    del vec[k]
-            if vec:
-                g = gcd(*vec.values())
-                if g != 1:
-                    vec = {k: n // g for k, n in vec.items()}
-    return vec
-
-
-def in_span(target: QJForm, basis: Iterable[QJForm]) -> bool:
-    """Exact rational test of membership of target in the span of basis."""
-    rows: list[tuple[int, dict[int, int]]] = []
-    for vec in basis:
-        red = _eliminate(dict(vec._num), rows)
-        if red:
-            rows.append((max(red), red))
-    return not _eliminate(dict(target._num), rows)
-
-
-@lru_cache(maxsize=None)
-def _modular_basis(k: int) -> tuple[QJForm, ...]:
-    # Products e4^i * e6^j of weight k, written in the JS generators.
-    out = []
-    e6 = e6_form()
-    for j in range(k // 6 + 1):
-        rem = k - 6 * j
-        if rem % 4 == 0:
-            out.append(E4 ** (rem // 4) * e6**j)
-    return tuple(out)
-
-
-def _in_modular_span(f: QJForm) -> bool:
-    # f is supported on JS monomials; test each weight part against e4/e6 products.
-    for k, comp in f.weight_components():
-        if not in_span(comp, _modular_basis(k)):
-            return False
-    return True
-
-
 def member(f: QJForm, algebra: Algebra) -> bool:
-    """Support test for membership of f in one of the six subalgebras."""
-    keys = f._num
-    if algebra is Algebra.JSINF:
-        return True
-    if algebra is Algebra.JSINF0:
-        return not any(k & _E1_FIELD for k in keys)
-    if algebra is Algebra.JS0INF:
-        return not any(k & _E2_FIELD for k in keys)
-    if algebra is Algebra.JS:
-        return not any(k & (_E1_FIELD | _E2_FIELD) for k in keys)
-    if algebra is Algebra.M:
-        if any(k & (_E1_FIELD | _E2_FIELD) for k in keys):
-            return False
-        return _in_modular_span(f)
-    if algebra is Algebra.MINF:
-        if any(k & _E1_FIELD for k in keys):
-            return False
-        # Split off e2 powers and test each coefficient form against M.
-        by_e2: dict[int, dict[int, int]] = {}
-        for key, n in keys.items():
-            by_e2.setdefault(key >> _E2_SHIFT, {})[key & ~_E2_FIELD] = n
-        return all(_in_modular_span(_make(part, f._den)) for part in by_e2.values())
-    raise ValueError(f"unknown algebra {algebra!r}")
+    """Membership of f in one of the six subalgebras.
+
+    f must avoid the generators its algebra leaves out; M and Minf are
+    moreover the kernels of dz on JS and JSinf0.  Every f in JS is A + dwp*B
+    with A, B in Q[wp, e4, e6] (as dwp^2 = 4wp^3 - 60e4*wp - 140e6), and
+    dz(A + dwp*B) = dwp*dA/dwp + [(6wp^2 - 30e4)*B + dwp^2*dB/dwp], whose
+    bracket has top wp-term (6 + 4d)*b_d*wp^(d+2) for B of wp-degree d, so
+    dz(f) = 0 exactly when B = 0 and A lies in Q[e4, e6] = M.  As dz(e2) = 0,
+    the same holds for every e2-power of a form in JSinf0.
+    """
+    try:
+        fields, dz_constant = _MEMBERSHIP[algebra]
+    except KeyError:
+        raise ValueError(f"unknown algebra {algebra!r}") from None
+    if fields and any(k & fields for k in f._num):
+        return False
+    return not (dz_constant and leibniz(DZ_TABLE, f))
 
 
 def q_coefficient(f: QJForm, j1: int, j2: int) -> ScaledJForm:

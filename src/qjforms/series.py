@@ -112,9 +112,6 @@ class BigradedSeries:
             return NotImplemented
         return series_add(self, series_scale(-1, other))
 
-    def __neg__(self) -> "BigradedSeries":
-        return series_scale(-1, self)
-
     def __mul__(self, other: "BigradedSeries | Scalar") -> "BigradedSeries":
         if isinstance(other, BigradedSeries):
             return series_mul(self, other)
@@ -126,14 +123,6 @@ class BigradedSeries:
         if isinstance(other, (int, Fraction)):
             return series_scale(other, self)
         return NotImplemented
-
-    def __pow__(self, n: int) -> "BigradedSeries":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers are nonnegative integers")
-        out = BigradedSeries._raw(0, self.q_prec, 0, self.u_max - self.u_val, {(0, 0): Fraction(1)})
-        for _ in range(n):
-            out = series_mul(out, self)
-        return out
 
     def __repr__(self) -> str:
         head = ", ".join(f"q^{m} u^{n}: {c}" for (m, n), c in self.items()[:6])

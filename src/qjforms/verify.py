@@ -9,11 +9,11 @@ interactive use; the defaults meet the acceptance-level counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, Iterable
 
+from ._value import Value
 from .arith import binomial
 from .calculus import (
     BRACKET_WEIGHT_SHIFT,
@@ -70,11 +70,10 @@ from .series import (
 )
 
 
-@dataclass
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+class Check(Value):
+    """One named verification result; a failure carries a detail."""
+
+    __slots__ = ("name", "ok", "detail")
 
 
 class _Recorder:

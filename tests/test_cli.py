@@ -197,6 +197,35 @@ class TestVerifyCommand:
         assert all(c["ok"] for c in suites["dimensions"]["checks"])
 
     def test_unknown_suite_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "bogus"])
-        assert exc.value.code == 2
+        code, payload, err = run_json(capsys, "verify", "bogus")
+        assert code == 2
+        assert payload["ok"] is False and payload["result"] is None
+        assert "invalid choice: 'bogus'" in payload["errors"][0]
+        assert err == f"error: {payload['errors'][0]}\n"
+
+
+class TestRejectedCommandLines:
+    # A command line that argparse rejects is a usage error like any other:
+    # exit 2, one error line and, under --json, the failure envelope.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "bogus"], "argument suite: invalid choice: 'bogus'"),
+            (["eval", "-dwp"], "the following arguments are required: expr"),
+            (["member", "M"], "the following arguments are required: expr"),
+        ],
+        ids=["unknown-suite", "leading-minus", "missing-argument"],
+    )
+    @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+    def test_usage_error(self, capsys, argv, message, json_mode):
+        code, out, err = run(capsys, *(["--json"] if json_mode else []), *argv)
+        assert code == 2
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and "usage:" not in err
+        if json_mode:
+            assert json.loads(out) == {"ok": False, "result": None, "errors": [err[len("error: ") : -1]]}
+        else:
+            assert out == ""
+
+    def test_double_dash_ends_options(self, capsys):
+        code, out, _ = run(capsys, "eval", "--", "-dwp")
+        assert code == 0 and out.strip() == "-dwp"

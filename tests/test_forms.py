@@ -21,7 +21,6 @@ from qjforms import (
     ScaledJForm,
     e6_form,
     eisenstein_in_generators,
-    in_span,
     member,
     monomials_of_weight,
     q_coefficient,
@@ -165,10 +164,6 @@ class TestMembership:
         assert member(E4 * E2 + E6 * E2**2, Algebra.MINF)
         assert not member(WP * E2, Algebra.MINF)
         assert not member(E1 * E2, Algebra.MINF)
-
-    def test_in_span(self):
-        assert in_span(2 * E4**3 + E6**2, [E4**3, E6**2])
-        assert not in_span(WP**6, [E4**3, E6**2])
 
 
 class TestE6Form:

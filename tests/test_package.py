@@ -18,10 +18,10 @@ SRC = str(Path(qjforms.__file__).resolve().parent.parent)
 EXPORTS = {
     "ALGEBRA_GENERATORS", "Algebra", "BigradedSeries", "Bracket", "DEFAULT_QPREC", "DEFAULT_UMAX",
     "Derivation", "DepthProfile", "DimFamily", "DWP", "E1", "E2", "E4", "EisensteinMethod",
-    "FAMILY_WEIGHTS", "Generator", "InconsistencyError", "ONE", "PrecisionError", "QJForm", "Rational",
+    "FAMILY_WEIGHTS", "Generator", "InconsistencyError", "ONE", "PrecisionError", "QJForm",
     "ScaledJForm", "SeriesDerivation", "StabilityReport", "WP", "ZERO", "alcuin", "bernoulli",
     "binomial", "bracket", "check_stability", "derive", "dim_brute", "dim_closed", "e6_form",
-    "eisenstein_in_generators", "eisenstein_qseries", "eval_numeric", "expand", "in_span", "member",
+    "eisenstein_in_generators", "eisenstein_qseries", "eval_numeric", "expand", "member",
     "modular_dim", "monomials_of_weight", "nearest_int", "q_coefficient", "series_add",
     "series_coefficients", "series_derive", "series_equal", "series_mul", "series_scale", "sigma",
     "star_truncated", "transvectant_by_recurrence",
@@ -38,9 +38,9 @@ class TestSurface:
         namespace: dict = {}
         exec("from qjforms import *", namespace)
         del namespace["__builtins__"]
-        assert len(EXPORTS) == 54
+        assert len(EXPORTS) == 52
         assert set(namespace) == set(qjforms.__all__) == EXPORTS
-        assert len(qjforms.__all__) == 54
+        assert len(qjforms.__all__) == 52
 
     def test_names_are_the_submodule_objects(self):
         for name in EXPORTS:
@@ -93,6 +93,18 @@ class TestColdStart:
         proc = python("-c", probe)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[] []"
+
+    @pytest.mark.parametrize(
+        "module, absent",
+        [("qjforms.forms", "qjforms.calculus"), ("qjforms.verify", "dataclasses")],
+        ids=["forms-without-calculus", "verify-without-dataclasses"],
+    )
+    def test_module_does_not_load(self, module, absent):
+        # forms decides membership without calculus (no import cycle), and
+        # no class that verify defines is a dataclass.
+        proc = python("-c", f"import sys, {module}; print({absent!r} in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @pytest.mark.parametrize(
         "argv, code", [(["dim", "DS", "12"], 0), (["--json", "dim", "table", "DSinf", "5"], 0), (["dim", "XX", "3"], 2)]
