@@ -1,13 +1,14 @@
 """Command line interface (`qjalg`): evaluation, queries, expansion, verify.
 
-Exit codes: 0 on success, 1 when an evaluation fails or a verification
-check fails, 2 for usage errors (including expression syntax errors, which
-are reported with a byte offset on standard error).
+Exit codes: 0 on success, 1 when an evaluation or a verification check fails
+or stdout closes early, 2 for usage errors (including expression syntax
+errors, which are reported with a byte offset on standard error).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -49,10 +50,10 @@ def _series_json(s: BigradedSeries) -> dict:
 def _emit(args: argparse.Namespace, result, text: str, ok: bool = True, errors: list[str] | None = None) -> int:
     errors = errors or []
     if args.json:
-        print(json.dumps({"ok": ok, "result": result, "errors": errors}, indent=None))
+        print(json.dumps({"ok": ok, "result": result, "errors": errors}, indent=None), flush=True)
     else:
         if text:
-            print(text)
+            print(text, flush=True)
         for err in errors:
             print(f"error: {err}", file=sys.stderr)
     return 0 if ok else 1
@@ -226,17 +227,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a JSON envelope instead of text")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate an expression to canonical form")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("weight", help="weights of the components of an expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_weight)
-
-    p = sub.add_parser("depth", help="depth profile (s1, s2) of an expression")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_depth)
+    for name, func, text in (
+        ("eval", _cmd_eval, "evaluate an expression to canonical form"),
+        ("weight", _cmd_weight, "weights of the components of an expression"),
+        ("depth", _cmd_depth, "depth profile (s1, s2) of an expression"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("expr")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("member", help="membership in one of the six subalgebras")
     p.add_argument("algebra", metavar="ALG")
@@ -272,26 +270,55 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # argparse sets --json on args before it parses the command, so a failure
     # in the command's arguments still reports in the requested mode.
+    argv = sys.argv[1:] if argv is None else argv
     args = argparse.Namespace()
     try:
-        _build_parser().parse_args(argv, namespace=args)
-        return args.func(args)
-    except UsageError as exc:
-        return _fail(args, exc, 2)
-    except (ValueError, ArithmeticError, RecursionError) as exc:
-        # Among them EvalError, PrecisionError and InconsistencyError, and
-        # the recursion limit of a deep expression or Eisenstein index.
-        # A ParseError can only come from a command that imported the parser.
-        from .parser import ParseError
+        try:
+            _parse(argv, args)
+            return args.func(args)
+        except UsageError as exc:
+            return _fail(args, exc, 2)
+        except (ValueError, ArithmeticError, RecursionError) as exc:
+            # Among them EvalError, PrecisionError and InconsistencyError, and
+            # the recursion limit of a deep expression or Eisenstein index.
+            # A ParseError can only come from a command that imported the parser.
+            from .parser import ParseError
 
-        if isinstance(exc, ParseError):
-            return _fail(args, exc, 2, "syntax error")
-        return _fail(args, exc, 1)
+            if isinstance(exc, ParseError):
+                return _fail(args, exc, 2, "syntax error")
+            return _fail(args, exc, 1)
+    except BrokenPipeError:
+        # The reader closed standard output (`qjalg ... | head -1`): point it
+        # at devnull so that the interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return 1
+
+
+def _parse(argv: list[str], args: argparse.Namespace) -> None:
+    try:
+        _build_parser().parse_args(argv, namespace=args)
+    except UsageError as exc:
+        # argparse reads a token that starts with '-' as an option, so an
+        # expression such as -dwp fails: name the first one that -- lets through.
+        import shlex
+
+        for i, token in enumerate(itertools.takewhile("--".__ne__, argv)):
+            if token[:1] != "-":
+                continue
+            fixed = [*argv[:i], "--", *argv[i:]]
+            try:
+                _build_parser().parse_args(fixed)
+            except UsageError:
+                continue
+            hint = f"{token!r} reads as an option, so put -- before it: {shlex.join(['qjalg', *fixed])}"
+            raise UsageError(f"{exc}; {hint}") from None
+        raise
 
 
 def _fail(args: argparse.Namespace, exc: Exception, code: int, label: str = "error") -> int:
     if args.json:
-        print(json.dumps({"ok": False, "result": None, "errors": [str(exc)]}))
+        print(json.dumps({"ok": False, "result": None, "errors": [str(exc)]}), flush=True)
     print(f"{label}: {exc}", file=sys.stderr)
     return code
 

@@ -1,9 +1,10 @@
 """Independent series oracle: truncated bigraded expansions in q and u.
 
-A :class:`BigradedSeries` stores exact rational coefficients of q^m u^n and
-represents pi^weight times that double series, where q is the Fourier
-variable and u = pi*z.  With this normalization every generator expands with
-rational coefficients:
+A :class:`BigradedSeries` stores the exact rational coefficients of q^m u^n
+as integer numerators over one positive denominator, kept canonical (no zero
+numerator, gcd 1), and represents pi^weight times that double series, where
+q is the Fourier variable and u = pi*z.  With this normalization every
+generator expands with rational coefficients:
 
 * ``wp``  -> u^-2 + sum_{n>=1} (2n+1) ee_{2n+2} u^(2n)      (weight 2)
 * ``e1``  -> u^-1 - sum_{n>=0} ee_{2n+2} u^(2n+1)           (weight 1)
@@ -47,7 +48,8 @@ class SeriesDerivation(Enum):
 class BigradedSeries:
     """Truncated Laurent-in-u, power-in-q series with exact coefficients."""
 
-    __slots__ = ("weight", "q_prec", "u_val", "u_max", "_coeffs")
+    # The coefficient of q^m u^n is _coeffs[(m, n)] / _denom.
+    __slots__ = ("weight", "q_prec", "u_val", "u_max", "_coeffs", "_denom")
 
     def __init__(
         self,
@@ -67,35 +69,36 @@ class BigradedSeries:
             for (m, n), value in items:
                 if m < 0 or m >= q_prec or n < u_val or n > u_max:
                     raise ValueError(f"coefficient at q^{m} u^{n} lies outside the validity window")
-                value = Fraction(value)
-                if value:
-                    data[(m, n)] = value
+                data[(m, n)] = Fraction(value)
+        den = math.lcm(*(c.denominator for c in data.values()))
         self.weight = weight
         self.q_prec = q_prec
         self.u_val = u_val
         self.u_max = u_max
-        self._coeffs = data
+        nums = {k: c.numerator * (den // c.denominator) for k, c in data.items()}
+        self._coeffs, self._denom = _canonical(nums, den)
 
     @classmethod
     def _raw(
-        cls, weight: int, q_prec: int, u_val: int, u_max: int, coeffs: dict[tuple[int, int], Fraction]
+        cls, weight: int, q_prec: int, u_val: int, u_max: int, nums: dict[tuple[int, int], int], den: int
     ) -> "BigradedSeries":
         obj = cls.__new__(cls)
         obj.weight = weight
         obj.q_prec = q_prec
         obj.u_val = u_val
         obj.u_max = u_max
-        obj._coeffs = coeffs
+        obj._coeffs = nums
+        obj._denom = den
         return obj
 
     def coefficient(self, m: int, n: int) -> Fraction:
         """Exact coefficient of q^m u^n; raises outside the validity window."""
         if m < 0 or m >= self.q_prec or n > self.u_max:
             raise PrecisionError(f"coefficient of q^{m} u^{n} is outside the validity window")
-        return self._coeffs.get((m, n), Fraction(0))
+        return Fraction(self._coeffs.get((m, n), 0), self._denom)
 
     def items(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(self._coeffs.items())
+        return [(key, Fraction(c, self._denom)) for key, c in sorted(self._coeffs.items())]
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -133,11 +136,20 @@ class BigradedSeries:
         )
 
 
+def _canonical(nums: dict[tuple[int, int], int], den: int) -> tuple[dict[tuple[int, int], int], int]:
+    """Canonical numerators over den > 0: no zero numerator, gcd 1, one gcd."""
+    # A zero numerator leaves the gcd unchanged; all zeros give den, so 0 over 1.
+    g = math.gcd(den, *nums.values()) if den != 1 else 1
+    if g != 1 or 0 in nums.values():
+        nums = {k: c // g for k, c in nums.items() if c}
+        den //= g
+    return nums, den
+
+
 def series_scale(r: Scalar, a: BigradedSeries) -> BigradedSeries:
     r = Fraction(r)
-    if not r:
-        return BigradedSeries._raw(a.weight, a.q_prec, a.u_val, a.u_max, {})
-    return BigradedSeries._raw(a.weight, a.q_prec, a.u_val, a.u_max, {k: r * c for k, c in a._coeffs.items()})
+    out = {k: r.numerator * c for k, c in a._coeffs.items()}
+    return BigradedSeries._raw(a.weight, a.q_prec, a.u_val, a.u_max, *_canonical(out, a._denom * r.denominator))
 
 
 def series_add(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
@@ -146,28 +158,20 @@ def series_add(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
     A series with no nonzero stored coefficient belongs to every weight, so
     it is weight-neutral here.
     """
-    if a.weight != b.weight:
-        if a.is_zero():
-            a = BigradedSeries._raw(b.weight, a.q_prec, a.u_val, a.u_max, {})
-        elif b.is_zero():
-            b = BigradedSeries._raw(a.weight, b.q_prec, b.u_val, b.u_max, {})
-        else:
-            raise ValueError(f"weight mismatch in series addition: {a.weight} vs {b.weight}")
+    if a.weight != b.weight and a._coeffs and b._coeffs:
+        raise ValueError(f"weight mismatch in series addition: {a.weight} vs {b.weight}")
     q_prec = min(a.q_prec, b.q_prec)
     u_val = min(a.u_val, b.u_val)
     u_max = min(a.u_max, b.u_max)
     if u_val > u_max:
         raise PrecisionError("sum has an empty u-window")
-    out: dict[tuple[int, int], Fraction] = {}
-    for src in (a._coeffs, b._coeffs):
+    da, db = a._denom, b._denom
+    out: dict[tuple[int, int], int] = {}
+    for src, mult in ((a._coeffs, db), (b._coeffs, da)):
         for (m, n), c in src.items():
             if m < q_prec and n <= u_max:
-                acc = out.get((m, n), 0) + c
-                if acc:
-                    out[(m, n)] = acc
-                elif (m, n) in out:
-                    del out[(m, n)]
-    return BigradedSeries._raw(a.weight, q_prec, u_val, u_max, out)
+                out[(m, n)] = out.get((m, n), 0) + c * mult
+    return BigradedSeries._raw(a.weight if a._coeffs else b.weight, q_prec, u_val, u_max, *_canonical(out, da * db))
 
 
 def series_mul(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
@@ -177,7 +181,7 @@ def series_mul(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
     u_max = min(a.u_val + b.u_max, b.u_val + a.u_max)
     if u_val > u_max:
         raise PrecisionError("product has an empty u-window")
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int] = {}
     for (m1, n1), c1 in a._coeffs.items():
         if m1 >= q_prec:
             continue
@@ -186,28 +190,18 @@ def series_mul(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
             n = n1 + n2
             if m >= q_prec or n > u_max:
                 continue
-            acc = out.get((m, n), 0) + c1 * c2
-            if acc:
-                out[(m, n)] = acc
-            elif (m, n) in out:
-                del out[(m, n)]
-    return BigradedSeries._raw(a.weight + b.weight, q_prec, u_val, u_max, out)
+            out[(m, n)] = out.get((m, n), 0) + c1 * c2
+    return BigradedSeries._raw(a.weight + b.weight, q_prec, u_val, u_max, *_canonical(out, a._denom * b._denom))
 
 
 def series_derive(which: SeriesDerivation, a: BigradedSeries) -> BigradedSeries:
     """Termwise derivative: DU shifts u-exponents down, QDQ scales by m."""
     if which is SeriesDerivation.DU:
-        out = {}
-        for (m, n), c in a._coeffs.items():
-            if n:
-                out[(m, n - 1)] = n * c
-        return BigradedSeries._raw(a.weight + 1, a.q_prec, a.u_val - 1, a.u_max - 1, out)
+        out = {(m, n - 1): n * c for (m, n), c in a._coeffs.items()}
+        return BigradedSeries._raw(a.weight + 1, a.q_prec, a.u_val - 1, a.u_max - 1, *_canonical(out, a._denom))
     if which is SeriesDerivation.QDQ:
-        out = {}
-        for (m, n), c in a._coeffs.items():
-            if m:
-                out[(m, n)] = m * c
-        return BigradedSeries._raw(a.weight + 2, a.q_prec, a.u_val, a.u_max, out)
+        out = {(m, n): m * c for (m, n), c in a._coeffs.items()}
+        return BigradedSeries._raw(a.weight + 2, a.q_prec, a.u_val, a.u_max, *_canonical(out, a._denom))
     raise ValueError(f"unknown series derivation {which!r}")
 
 
@@ -228,8 +222,9 @@ def series_equal(a: BigradedSeries, b: BigradedSeries, min_window: int = 1) -> b
         raise PrecisionError(
             f"common window [{lo}, {hi}] spans fewer than {min_window} u-exponents"
         )
+    da, db = a._denom, b._denom
     for (m, n), c in a._coeffs.items():
-        if m < q_prec and n <= hi and b._coeffs.get((m, n), 0) != c:
+        if m < q_prec and n <= hi and b._coeffs.get((m, n), 0) * da != c * db:
             return False
     for (m, n), c in b._coeffs.items():
         if m < q_prec and n <= hi and (m, n) not in a._coeffs:
@@ -251,28 +246,22 @@ def eisenstein_qseries(k: int, q_prec: int) -> BigradedSeries:
     """Normalized weight-k Eisenstein series ee_k as a u-constant series."""
     if k % 2 != 0 or k < 2:
         raise ValueError("Eisenstein series require an even weight >= 2")
-    if q_prec < 1:
-        raise PrecisionError("q_prec must be at least 1")
-    coeffs = {(m, 0): _eisenstein_coeff(k, m) for m in range(q_prec)}
-    return BigradedSeries._raw(k, q_prec, 0, 0, {key: c for key, c in coeffs.items() if c})
+    return BigradedSeries(k, q_prec, 0, 0, {(m, 0): _eisenstein_coeff(k, m) for m in range(q_prec)})
 
 
 def _widen_u(a: BigradedSeries, u_val: int, u_max: int) -> BigradedSeries:
     # Valid only when the series' full u-support is known to lie in the
     # current window (true for the u-constant Eisenstein series).
-    return BigradedSeries._raw(a.weight, a.q_prec, u_val, u_max, dict(a._coeffs))
+    return BigradedSeries._raw(a.weight, a.q_prec, u_val, u_max, a._coeffs, a._denom)
 
 
 @lru_cache(maxsize=None)
 def _wp_series(q_prec: int, span: int) -> BigradedSeries:
     out: dict[tuple[int, int], Fraction] = {(0, -2): Fraction(1)}
     for n in range(2, span - 1, 2):
-        factor = n + 1
         for m in range(q_prec):
-            c = factor * _eisenstein_coeff(n + 2, m)
-            if c:
-                out[(m, n)] = c
-    return BigradedSeries._raw(2, q_prec, -2, -2 + span, out)
+            out[(m, n)] = (n + 1) * _eisenstein_coeff(n + 2, m)
+    return BigradedSeries(2, q_prec, -2, -2 + span, out)
 
 
 @lru_cache(maxsize=None)
@@ -285,10 +274,8 @@ def _e1_series(q_prec: int, span: int) -> BigradedSeries:
     out: dict[tuple[int, int], Fraction] = {(0, -1): Fraction(1)}
     for n in range(1, span, 2):
         for m in range(q_prec):
-            c = -_eisenstein_coeff(n + 1, m)
-            if c:
-                out[(m, n)] = c
-    return BigradedSeries._raw(1, q_prec, -1, -1 + span, out)
+            out[(m, n)] = -_eisenstein_coeff(n + 1, m)
+    return BigradedSeries(1, q_prec, -1, -1 + span, out)
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +285,7 @@ def _monomial_series(expos: tuple[int, int, int, int, int], q_prec: int, u_max: 
     span = u_max - u_val
     if span < 0:
         raise PrecisionError(f"u_max={u_max} cannot reach the monomial valuation {u_val}")
-    out = BigradedSeries._raw(0, q_prec, 0, span, {(0, 0): Fraction(1)})
+    out = BigradedSeries._raw(0, q_prec, 0, span, {(0, 0): 1}, 1)
     factors = (
         (a, lambda: _wp_series(q_prec, span)),
         (b, lambda: _dwp_series(q_prec, span)),
@@ -321,17 +308,12 @@ def expand(f: QJForm, q_prec: int = DEFAULT_QPREC, u_max: int = DEFAULT_UMAX) ->
     """
     if q_prec < 1:
         raise PrecisionError("q_prec must be at least 1")
-    comps = f.weight_components()
-    if not comps:
-        return BigradedSeries._raw(0, q_prec, min(0, u_max), u_max, {})
-    if len(comps) > 1:
+    if len(f.weight_components()) > 1:
         raise ValueError("expand requires a weight-homogeneous form; split it first")
-    _, comp = comps[0]
-    total: BigradedSeries | None = None
-    for expos, coeff in iter_terms(comp):
-        s = series_scale(coeff, _monomial_series(expos, q_prec, u_max))
-        total = s if total is None else series_add(total, s)
-    assert total is not None
+    # The zero series is weight-neutral, and its window holds every monomial's.
+    total = BigradedSeries._raw(0, q_prec, min(0, u_max), u_max, {}, 1)
+    for expos, coeff in iter_terms(f):
+        total = series_add(total, series_scale(coeff, _monomial_series(expos, q_prec, u_max)))
     return total
 
 
@@ -359,7 +341,7 @@ def eval_numeric(
     for k, comp in f.weight_components():
         s = expand(comp, q_prec, u_max)
         acc = 0j
-        for (m, n), c in s._coeffs.items():
+        for (m, n), c in s.items():
             acc += float(c) * q**m * u**n
         total += cmath.pi**k * acc
     return total

@@ -1,9 +1,14 @@
 """The qjalg command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qjforms
 from qjforms.cli import main
 
 
@@ -226,6 +231,66 @@ class TestRejectedCommandLines:
         else:
             assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv, fixed",
+        [
+            (["eval", "-dwp"], ["eval", "--", "-dwp"]),
+            (["eval", "-3/7"], ["eval", "--", "-3/7"]),
+            (["member", "M", "-dwp"], ["member", "M", "--", "-dwp"]),
+            (["dim", "DS", "-x"], ["dim", "DS", "--", "-x"]),
+        ],
+        ids=["missing-expr", "fraction", "second-argument", "unrecognized"],
+    )
+    @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+    def test_leading_minus_is_named(self, capsys, argv, fixed, json_mode):
+        # The error line names the token that argparse took for an option and
+        # gives the command line with -- before it.
+        mode = ["--json"] if json_mode else []
+        code, out, err = run(capsys, *mode, *argv)
+        assert code == 2 and err.count("\n") == 1 and "usage:" not in err
+        hint = f"; {argv[-1]!r} reads as an option, so put -- before it: {' '.join(['qjalg', *mode, *fixed])}\n"
+        assert err.startswith("error: ") and err.endswith(hint)
+        if json_mode:
+            assert json.loads(out) == {"ok": False, "result": None, "errors": [err[len("error: ") : -1]]}
+        else:
+            assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "-3"],
+            ["dim", "DS", "-3"],
+            ["expand", "wp", "--qp", "1"],
+            ["eval", "wp", "-e4"],
+            ["member", "--", "-dwp"],
+        ],
+        ids=["negative-number", "command-error", "abbreviation", "extra-argument", "after-double-dash"],
+    )
+    def test_no_hint_where_double_dash_cannot_help(self, capsys, argv):
+        # Negative numbers and abbreviated options parse, and where -- before
+        # a token would not make the command line parse, no hint is given.
+        _, _, err = run(capsys, *argv)
+        assert "reads as an option" not in err
+
     def test_double_dash_ends_options(self, capsys):
         code, out, _ = run(capsys, "eval", "--", "-dwp")
         assert code == 0 and out.strip() == "-dwp"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv", [["dim", "table", "DS", "100000"], ["--json", "dim", "table", "DS", "100000"]], ids=["text", "json"]
+    )
+    def test_no_traceback(self, argv):
+        # The reader goes away after one line (at most 64 bytes of the
+        # one-line JSON envelope), as `qjalg ... | head -1` does.
+        env = dict(os.environ, PYTHONPATH=str(Path(qjforms.__file__).resolve().parent.parent))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qjforms.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        proc.stdout.readline(64)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) in {0, 1, 2}
+        assert "Traceback" not in err and err.count("error:") <= 1

@@ -59,7 +59,9 @@ class TestSurface:
 class TestPrivateFields:
     # The private storage of a QJForm belongs to forms.py and that of a
     # BigradedSeries to series.py; every other module goes through their API.
-    OWNERS = {"_num": "forms.py", "_den": "forms.py", "_hash": "forms.py", "_coeffs": "series.py"}
+    OWNERS = {
+        "_num": "forms.py", "_den": "forms.py", "_hash": "forms.py", "_coeffs": "series.py", "_denom": "series.py"
+    }
     # _raw is each class's own unchecked constructor.
     RAW_OWNERS = {"QJForm": "forms.py", "BigradedSeries": "series.py"}
 
@@ -82,6 +84,25 @@ class TestPrivateFields:
         assert offences == []
 
 
+class TestOracleIndependence:
+    # The series oracle checks the form kernel, so it keeps its own product
+    # loop and canonicaliser and takes from forms only the form type and the
+    # public term iterator.
+    def test_series_uses_no_kernel_internals(self):
+        tree = ast.parse(Path(SRC, "qjforms", "series.py").read_text())
+        from_forms = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("forms", "qjforms.forms"):
+                from_forms |= {alias.name for alias in node.names}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert all(alias.name.split(".")[-1] != "forms" for alias in node.names)
+        assert from_forms == {"QJForm", "iter_terms"}
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert names.isdisjoint({"_add_product", "sum_of_products", "leibniz", "_make"})
+
+
 class TestColdStart:
     def test_cli_import_loads_only_the_query_path(self):
         probe = (
@@ -96,12 +117,17 @@ class TestColdStart:
 
     @pytest.mark.parametrize(
         "module, absent",
-        [("qjforms.forms", "qjforms.calculus"), ("qjforms.verify", "dataclasses")],
-        ids=["forms-without-calculus", "verify-without-dataclasses"],
+        [
+            ("qjforms.forms", "qjforms.calculus"),
+            ("qjforms.verify", "dataclasses"),
+            ("qjforms.series", "qjforms.calculus"),
+        ],
+        ids=["forms-without-calculus", "verify-without-dataclasses", "series-without-calculus"],
     )
     def test_module_does_not_load(self, module, absent):
-        # forms decides membership without calculus (no import cycle), and
-        # no class that verify defines is a dataclass.
+        # forms decides membership without calculus (no import cycle), no
+        # class that verify defines is a dataclass, and the series oracle
+        # does not run the derivation engine it checks.
         proc = python("-c", f"import sys, {module}; print({absent!r} in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
