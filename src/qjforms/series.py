@@ -24,7 +24,7 @@ import cmath
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Union
 
 from .arith import bernoulli, sigma
@@ -175,22 +175,33 @@ def series_add(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
 
 
 def series_mul(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
-    """Exact truncated product with conservative window arithmetic."""
+    """Exact truncated product with conservative window arithmetic.
+
+    Only pairs that land inside the product window are visited: b is grouped
+    into q-rows sorted by u, and each term of a walks the rows below
+    ``q_prec - m1`` and stops in each row past ``u_max - n1``.
+    """
     q_prec = min(a.q_prec, b.q_prec)
     u_val = a.u_val + b.u_val
     u_max = min(a.u_val + b.u_max, b.u_val + a.u_max)
     if u_val > u_max:
         raise PrecisionError("product has an empty u-window")
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (m2, n2), c2 in sorted(b._coeffs.items()):
+        if m2 < q_prec:
+            rows.setdefault(m2, []).append((n2, c2))
     out: dict[tuple[int, int], int] = {}
     for (m1, n1), c1 in a._coeffs.items():
-        if m1 >= q_prec:
-            continue
-        for (m2, n2), c2 in b._coeffs.items():
+        top = u_max - n1
+        for m2, row in rows.items():
+            if m2 >= q_prec - m1:
+                break
             m = m1 + m2
-            n = n1 + n2
-            if m >= q_prec or n > u_max:
-                continue
-            out[(m, n)] = out.get((m, n), 0) + c1 * c2
+            for n2, c2 in row:
+                if n2 > top:
+                    break
+                key = (m, n1 + n2)
+                out[key] = out.get(key, 0) + c1 * c2
     return BigradedSeries._raw(a.weight + b.weight, q_prec, u_val, u_max, *_canonical(out, a._denom * b._denom))
 
 
@@ -232,7 +243,16 @@ def series_equal(a: BigradedSeries, b: BigradedSeries, min_window: int = 1) -> b
     return True
 
 
-@lru_cache(maxsize=None)
+# Memo sizes, about twice the largest working sets measured (``qjalg verify
+# oracle``: 257 monomials, 293 powers, 29/21/21 wp/dwp/e1 series and 152
+# Eisenstein coefficients; the benchmark's series items need fewer).
+MONOMIAL_CACHE_SIZE = 512
+POWER_CACHE_SIZE = 512
+GENERATOR_CACHE_SIZE = 64
+EISENSTEIN_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=EISENSTEIN_CACHE_SIZE)
 def _eisenstein_coeff(k: int, m: int) -> Fraction:
     # q^m coefficient of ee_k = e_k / pi^k.
     bk = bernoulli(k)
@@ -255,7 +275,7 @@ def _widen_u(a: BigradedSeries, u_val: int, u_max: int) -> BigradedSeries:
     return BigradedSeries._raw(a.weight, a.q_prec, u_val, u_max, a._coeffs, a._denom)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _wp_series(q_prec: int, span: int) -> BigradedSeries:
     out: dict[tuple[int, int], Fraction] = {(0, -2): Fraction(1)}
     for n in range(2, span - 1, 2):
@@ -264,12 +284,12 @@ def _wp_series(q_prec: int, span: int) -> BigradedSeries:
     return BigradedSeries(2, q_prec, -2, -2 + span, out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _dwp_series(q_prec: int, span: int) -> BigradedSeries:
-    return series_derive(SeriesDerivation.DU, _wp_series(q_prec, span + 1))
+    return series_derive(SeriesDerivation.DU, _wp_series(q_prec, span))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _e1_series(q_prec: int, span: int) -> BigradedSeries:
     out: dict[tuple[int, int], Fraction] = {(0, -1): Fraction(1)}
     for n in range(1, span, 2):
@@ -278,43 +298,68 @@ def _e1_series(q_prec: int, span: int) -> BigradedSeries:
     return BigradedSeries(1, q_prec, -1, -1 + span, out)
 
 
-@lru_cache(maxsize=None)
+# The series of wp, dwp, e4, e1, e2 on a u-window of ``span + 1`` exponents
+# from the generator's valuation, in the exponent order of a monomial.
+_GENERATORS = (
+    _wp_series,
+    _dwp_series,
+    lambda q_prec, span: _widen_u(eisenstein_qseries(4, q_prec), 0, span),
+    _e1_series,
+    lambda q_prec, span: _widen_u(eisenstein_qseries(2, q_prec), 0, span),
+)
+
+
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def _generator_power(gen: int, p: int, q_prec: int, span: int) -> BigradedSeries:
+    """The p-th power (p >= 1) of generator ``gen``, on a u-window of ``span + 1`` exponents.
+
+    One product with the memoised (p - 1)-th power; a caller asks for the
+    powers in ascending order, so the recursion is one level deep.
+    """
+    base = _GENERATORS[gen](q_prec, span)
+    return base if p == 1 else series_mul(_generator_power(gen, p - 1, q_prec, span), base)
+
+
+@lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
 def _monomial_series(expos: tuple[int, int, int, int, int], q_prec: int, u_max: int) -> BigradedSeries:
-    a, b, c, d, e = expos
+    a, b, _, d, _ = expos
     u_val = -2 * a - 3 * b - d
     span = u_max - u_val
     if span < 0:
         raise PrecisionError(f"u_max={u_max} cannot reach the monomial valuation {u_val}")
-    out = BigradedSeries._raw(0, q_prec, 0, span, {(0, 0): 1}, 1)
-    factors = (
-        (a, lambda: _wp_series(q_prec, span)),
-        (b, lambda: _dwp_series(q_prec, span)),
-        (c, lambda: _widen_u(eisenstein_qseries(4, q_prec), 0, span)),
-        (d, lambda: _e1_series(q_prec, span)),
-        (e, lambda: _widen_u(eisenstein_qseries(2, q_prec), 0, span)),
-    )
-    for power, build in factors:
-        if power:
-            base = build()
-            for _ in range(power):
-                out = series_mul(out, base)
-    return out
+    # Each power has span + 1 exponents from its valuation, and so has the
+    # product of powers: its window ends at u_max.
+    factors = []
+    for gen, power in enumerate(expos):
+        # Ascending, so each power finds the one below it memoised.
+        factors += [_generator_power(gen, p, q_prec, span) for p in range(1, power + 1)][-1:]
+    if not factors:
+        return BigradedSeries._raw(0, q_prec, 0, span, {(0, 0): 1}, 1)
+    return reduce(series_mul, factors)
 
 
 def expand(f: QJForm, q_prec: int = DEFAULT_QPREC, u_max: int = DEFAULT_UMAX) -> BigradedSeries:
     """Ring-homomorphic image of a weight-homogeneous form.
 
-    The zero form expands to the zero series with weight tag 0.
+    Every term's coefficient times its monomial series is summed in one pass
+    over the lcm of their denominators.  The zero form expands to the zero
+    series with weight tag 0.
     """
     if q_prec < 1:
         raise PrecisionError("q_prec must be at least 1")
     if len(f.weight_components()) > 1:
         raise ValueError("expand requires a weight-homogeneous form; split it first")
-    # The zero series is weight-neutral, and its window holds every monomial's.
-    total = BigradedSeries._raw(0, q_prec, min(0, u_max), u_max, {}, 1)
-    for expos, coeff in iter_terms(f):
-        total = series_add(total, series_scale(coeff, _monomial_series(expos, q_prec, u_max)))
-    return total
+    terms = [(coeff, _monomial_series(expos, q_prec, u_max)) for expos, coeff in iter_terms(f)]
+    den = math.lcm(*(coeff.denominator * mono._denom for coeff, mono in terms))
+    # The window holds the zero series' and every monomial's.
+    u_val = min(0, u_max, *(mono.u_val for _, mono in terms))
+    out: dict[tuple[int, int], int] = {}
+    for coeff, mono in terms:
+        mult = coeff.numerator * (den // (coeff.denominator * mono._denom))
+        for key, c in mono._coeffs.items():
+            out[key] = out.get(key, 0) + mult * c
+    weight = terms[0][1].weight if terms else 0
+    return BigradedSeries._raw(weight, q_prec, u_val, u_max, *_canonical(out, den))
 
 
 def eval_numeric(

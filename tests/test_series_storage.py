@@ -149,17 +149,23 @@ VALUES = st.one_of(
 
 
 @st.composite
-def windowed(draw, base=None, sign=-1):
+def windowed(draw, base=None, sign=-1, q_top=3, span_top=4):
     # A window with negative u-valuations and q_prec down to 1.  Without a
     # base it holds any coefficients (zeros included, which the constructor
-    # drops).  With one it has the base's weight, a window near the base's,
-    # and sign times the base's coefficients in that window: only those for
-    # sign 1, over random ones for sign -1.
-    q_prec = draw(st.integers(1, 3))
+    # drops), or, for spans past 4, now and then one in every cell.  With a
+    # base it has the base's weight, a window near the base's, and sign
+    # times the base's coefficients in that window: only those for sign 1,
+    # over random ones for sign -1.
+    q_prec = draw(st.integers(1, q_top))
     u_val = draw(st.integers(-4, 2) if base is None else st.integers(base.u_val - 1, base.u_val + 1))
-    u_max = u_val + draw(st.integers(0, 4))
+    u_max = u_val + draw(st.integers(0, span_top))
     cells = [(m, n) for m in range(q_prec) for n in range(u_val, u_max + 1)]
-    data = {} if sign == 1 else draw(st.dictionaries(st.sampled_from(cells), VALUES, max_size=len(cells)))
+    if sign == 1:
+        data = {}
+    elif span_top > 4 and draw(st.booleans()):
+        data = dict(zip(cells, draw(st.lists(VALUES, min_size=len(cells), max_size=len(cells)))))
+    else:
+        data = draw(st.dictionaries(st.sampled_from(cells), VALUES, max_size=len(cells)))
     for (m, n), c in (base.coeffs if base else {}).items():
         if m < q_prec and u_val <= n <= u_max:
             data[(m, n)] = sign * c
@@ -192,6 +198,16 @@ class TestAgainstFractionReference:
     def test_mul(self, pair):
         a, ra, b, rb = pair
         assert outcome(lambda: as_ref(series_mul(a, b))) == outcome(ref_mul, ra, rb)
+        assert outcome(lambda: as_ref(series_mul(b, a))) == outcome(ref_mul, rb, ra)
+
+    @settings(max_examples=150, deadline=None)
+    @given(windowed(q_top=6, span_top=10), windowed(q_top=6, span_top=10))
+    def test_mul_wide_windows(self, left, right):
+        # Each operand has its own q_prec up to 6 and a span up to 10, so the
+        # q- and u-cuts of the product window fall inside the other's rows.
+        (a, ra), (b, rb) = left, right
+        assert outcome(lambda: as_ref(series_mul(a, b))) == outcome(ref_mul, ra, rb)
+        assert outcome(lambda: as_ref(series_mul(b, a))) == outcome(ref_mul, rb, ra)
 
     @settings(max_examples=100, deadline=None)
     @given(windowed(), VALUES | st.integers(-5, 5))
