@@ -244,11 +244,10 @@ def series_equal(a: BigradedSeries, b: BigradedSeries, min_window: int = 1) -> b
 
 
 # Memo sizes, about twice the largest working sets measured (``qjalg verify
-# oracle``: 257 monomials, 293 powers, 29/21/21 wp/dwp/e1 series and 152
-# Eisenstein coefficients; the benchmark's series items need fewer).
+# oracle``: 257 monomials, 293 generator powers and 152 Eisenstein coefficients;
+# the benchmark's series items need fewer).
 MONOMIAL_CACHE_SIZE = 512
 POWER_CACHE_SIZE = 512
-GENERATOR_CACHE_SIZE = 64
 EISENSTEIN_CACHE_SIZE = 512
 
 
@@ -275,7 +274,6 @@ def _widen_u(a: BigradedSeries, u_val: int, u_max: int) -> BigradedSeries:
     return BigradedSeries._raw(a.weight, a.q_prec, u_val, u_max, a._coeffs, a._denom)
 
 
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _wp_series(q_prec: int, span: int) -> BigradedSeries:
     out: dict[tuple[int, int], Fraction] = {(0, -2): Fraction(1)}
     for n in range(2, span - 1, 2):
@@ -284,12 +282,6 @@ def _wp_series(q_prec: int, span: int) -> BigradedSeries:
     return BigradedSeries(2, q_prec, -2, -2 + span, out)
 
 
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _dwp_series(q_prec: int, span: int) -> BigradedSeries:
-    return series_derive(SeriesDerivation.DU, _wp_series(q_prec, span))
-
-
-@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
 def _e1_series(q_prec: int, span: int) -> BigradedSeries:
     out: dict[tuple[int, int], Fraction] = {(0, -1): Fraction(1)}
     for n in range(1, span, 2):
@@ -299,10 +291,12 @@ def _e1_series(q_prec: int, span: int) -> BigradedSeries:
 
 
 # The series of wp, dwp, e4, e1, e2 on a u-window of ``span + 1`` exponents
-# from the generator's valuation, in the exponent order of a monomial.
+# from the generator's valuation, in the exponent order of a monomial.  They
+# are built once per window, as the first powers in the ``_generator_power``
+# memo; dwp is the u-derivative of the memoised wp.
 _GENERATORS = (
     _wp_series,
-    _dwp_series,
+    lambda q_prec, span: series_derive(SeriesDerivation.DU, _generator_power(0, 1, q_prec, span)),
     lambda q_prec, span: _widen_u(eisenstein_qseries(4, q_prec), 0, span),
     _e1_series,
     lambda q_prec, span: _widen_u(eisenstein_qseries(2, q_prec), 0, span),
@@ -313,11 +307,12 @@ _GENERATORS = (
 def _generator_power(gen: int, p: int, q_prec: int, span: int) -> BigradedSeries:
     """The p-th power (p >= 1) of generator ``gen``, on a u-window of ``span + 1`` exponents.
 
-    One product with the memoised (p - 1)-th power; a caller asks for the
-    powers in ascending order, so the recursion is one level deep.
+    One product of the memoised (p - 1)-th and first powers; a caller asks
+    for the powers in ascending order, so the recursion is one level deep.
     """
-    base = _GENERATORS[gen](q_prec, span)
-    return base if p == 1 else series_mul(_generator_power(gen, p - 1, q_prec, span), base)
+    if p == 1:
+        return _GENERATORS[gen](q_prec, span)
+    return series_mul(_generator_power(gen, p - 1, q_prec, span), _generator_power(gen, 1, q_prec, span))
 
 
 @lru_cache(maxsize=MONOMIAL_CACHE_SIZE)

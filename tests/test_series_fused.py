@@ -163,7 +163,7 @@ class TestGeneratorPowers:
 
 # The memoised functions of series.py, with the largest working set seen in
 # the benchmark's series items and in `qjalg verify oracle`.
-MEMOS = ("_monomial_series", "_generator_power", "_wp_series", "_dwp_series", "_e1_series", "_eisenstein_coeff")
+MEMOS = ("_monomial_series", "_generator_power", "_eisenstein_coeff")
 
 
 def _oracle_sweep() -> None:

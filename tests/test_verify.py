@@ -1,0 +1,110 @@
+"""The verify suites: a raising check is a failed check, and the decided checks can fail."""
+
+import json
+import random
+
+import pytest
+
+from qjforms import calculus, verify
+from qjforms.calculus import Derivation, derive
+from qjforms.cli import main
+from qjforms.forms import DWP, E1, E2, E4, WP, image_table
+
+# Per suite: a callee that raises, the exception, and the prefixes of the
+# names of the checks it fails (a full name is its own prefix).
+PLANTS = {
+    "identities": ("expand", ZeroDivisionError, ("series:",)),
+    "stability": ("check_stability", TypeError, ("matrix:",)),
+    "brackets": ("member", ZeroDivisionError, ("rc_tau:preserves", "rc_d:preserves", "tv:preserves", "witness:")),
+    "deformations": ("star_truncated", TypeError, ("star:",)),
+    "dimensions": ("dim_closed", ZeroDivisionError, ("ds:table", "triangle:", "recurrences:")),
+    "oracle": (
+        "expand",
+        TypeError,
+        (
+            "expand:",
+            "homomorphism:",
+            "correspondence:",
+            "parity:",
+            "gunther:",
+            "eisenstein:fourier_vs_laurent",
+            "precision:",
+        ),
+    ),
+}
+
+
+def affected(names: list[str], prefixes: tuple[str, ...]) -> set[str]:
+    return {name for name in names if name.startswith(prefixes)}
+
+
+def plant(monkeypatch, callee: str, exc: type[Exception]) -> None:
+    def raises(*args, **kwargs):
+        raise exc("planted")
+
+    monkeypatch.setattr(verify, callee, raises)
+
+
+@pytest.fixture(scope="module")
+def names() -> dict[str, list[str]]:
+    return {suite: [c.name for c in checks] for suite, checks in verify.run_suites(["all"], quick=True).items()}
+
+
+class TestGuardedChecks:
+    @pytest.mark.parametrize("suite", list(PLANTS))
+    def test_raise_fails_only_its_checks(self, monkeypatch, names, suite):
+        callee, exc, prefixes = PLANTS[suite]
+        failing = affected(names[suite], prefixes)
+        assert 0 < len(failing) < len(names[suite])
+        plant(monkeypatch, callee, exc)
+        checks = verify.SUITES[suite](random.Random(0), True)
+        assert [c.name for c in checks] == names[suite]
+        assert {c.name for c in checks if not c.ok} == failing
+        assert {c.detail for c in checks if not c.ok} == {f"raised {exc.__name__}: planted"}
+
+    @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+    def test_verify_all_reports_every_suite(self, monkeypatch, capsys, names, json_mode):
+        # Every suite at once has a raising callee; none may end the command.
+        for callee, exc, _ in PLANTS.values():
+            plant(monkeypatch, callee, exc)
+        code = main([*(["--json"] if json_mode else []), "verify", "all", "--quick"])
+        out, err = capsys.readouterr()
+        assert code == 1 and "Traceback" not in out + err
+        if not json_mode:
+            assert out.endswith(" check(s) failed\n")
+            return
+        suites = json.loads(out)["result"]["suites"]
+        assert {suite: [c["name"] for c in s["checks"]] for suite, s in suites.items()} == names
+        for suite, (_, _, prefixes) in PLANTS.items():
+            failed = {c["name"] for c in suites[suite]["checks"] if not c["ok"]}
+            assert affected(names[suite], prefixes) <= failed, suite
+            for c in suites[suite]["checks"]:
+                assert c["ok"] or c["detail"].startswith("raised "), (suite, c)
+
+
+# Per decided check: a derivation, a generator, a term added to its image
+# there, and the failure that must name that generator.
+PERTURBATIONS = [
+    ("commutation:dz_dtau", Derivation.DTAU, 3, DWP, "dz dtau != dtau dz on e1"),
+    ("delta_commutator:dtau_djac", Derivation.DJAC, 4, WP, "Delta-commutator fails for Derivation.DJAC on e2"),
+    ("weight_shift:derivations", Derivation.DZ, 2, E1, "Derivation.DZ is not homogeneous of shift 1 on e4"),
+    ("ob:depth_and_js", Derivation.OB, 2, E2**3, "Ob depth (3,0) exceeds (1,0) on e4"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, tag, index, term, detail", PERTURBATIONS, ids=[p[0].split(":")[0] for p in PERTURBATIONS]
+)
+def test_decided_check_names_the_perturbed_generator(name, tag, index, term, detail):
+    images = [derive(tag, g) for g in (WP, DWP, E4, E1, E2)]
+    images[index] = images[index] + term
+    saved = calculus._TABLES[tag]
+    derive.cache_clear()
+    try:
+        calculus._TABLES[tag] = image_table(images)
+        checks = {c.name: c for c in verify.suite_stability(random.Random(0), True)}
+    finally:
+        calculus._TABLES[tag] = saved
+        derive.cache_clear()
+    assert not checks[name].ok
+    assert checks[name].detail == detail
