@@ -542,17 +542,31 @@ def q_coefficient(f: QJForm, j1: int, j2: int) -> ScaledJForm:
     Substituting e2 -> e2 - cX and e1 -> e1 + cY (other generators fixed)
     and collecting X^j1 Y^j2 gives a form times c^(j1+j2).  Out-of-range
     indices (including negative ones) give the zero scaled form.
+
+    One pass over the terms: a term whose e2 exponent is below j1 or whose
+    e1 exponent is below j2 contributes nothing and is skipped before any
+    arithmetic, so ``binomial`` only sees arguments bounded by the exponents.
     """
-    if j1 < 0 or j2 < 0:
+    if j1 < 0 or j2 < 0 or not f._num:
+        return ZERO_SCALED
+    if not (j1 or j2):
+        return ScaledJForm(f, 0)
+    # e2 is the top field, so the largest key holds the largest e2 exponent.
+    if j1 > max(f._num) >> _E2_SHIFT:
         return ZERO_SCALED
     sign = -1 if j1 % 2 else 1
     shift = j1 << _E2_SHIFT | j2 << _E1_SHIFT
     out: dict[int, int] = {}
     for key, n in f._num.items():
-        w = binomial(key >> _E2_SHIFT, j1) * binomial(key >> _E1_SHIFT & _FIELD_MASK, j2)
-        if w:
-            # distinct keys stay distinct after the same shift
-            out[key - shift] = n * (sign * w)
+        e = key >> _E2_SHIFT
+        if e < j1:
+            continue
+        d = key >> _E1_SHIFT & _FIELD_MASK
+        if d < j2:
+            continue
+        # Both fields are at least their index, so key - shift borrows from
+        # no field, and distinct keys stay distinct after the same shift.
+        out[key - shift] = n * (sign * binomial(e, j1) * binomial(d, j2))
     if not out:
         return ZERO_SCALED
     return ScaledJForm(_make(out, f._den), j1 + j2)

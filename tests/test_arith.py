@@ -92,3 +92,12 @@ class TestBinomial:
             assert binomial(n, k) == binomial(n, n - k)
         else:
             assert binomial(n, k) == 0
+
+
+class TestCaches:
+    # bench/worker.py::_cache_stats reads cache_info() of these three in every
+    # run mode to report their hit ratios, so each must stay an lru_cache.
+    @pytest.mark.parametrize("fn", [binomial, bernoulli, sigma])
+    def test_exposes_cache_info(self, fn):
+        info = fn.cache_info()
+        assert info.hits >= 0 and info.misses >= 0 and info.currsize >= 0
