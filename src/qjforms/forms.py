@@ -547,13 +547,10 @@ def q_coefficient(f: QJForm, j1: int, j2: int) -> ScaledJForm:
     e1 exponent is below j2 contributes nothing and is skipped before any
     arithmetic, so ``binomial`` only sees arguments bounded by the exponents.
     """
-    if j1 < 0 or j2 < 0 or not f._num:
+    if j1 < 0 or j2 < 0:
         return ZERO_SCALED
     if not (j1 or j2):
         return ScaledJForm(f, 0)
-    # e2 is the top field, so the largest key holds the largest e2 exponent.
-    if j1 > max(f._num) >> _E2_SHIFT:
-        return ZERO_SCALED
     sign = -1 if j1 % 2 else 1
     shift = j1 << _E2_SHIFT | j2 << _E1_SHIFT
     out: dict[int, int] = {}

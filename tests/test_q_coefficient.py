@@ -3,8 +3,7 @@
 The reference below is the earlier body of ``forms.q_coefficient``: every
 term pays two binomials and is kept when their product is nonzero.  The
 current one skips a term whose e2 exponent is below j1 or whose e1 exponent
-is below j2 before any arithmetic, and answers (0, 0) and a j1 above every
-e2 exponent without a pass.
+is below j2 before any arithmetic, and answers (0, 0) with the form itself.
 """
 
 from fractions import Fraction
