@@ -29,12 +29,11 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from ._value import Value
-from .arith import binomial
 
 Exponents = tuple[int, int, int, int, int]
 Scalar = Union[int, Fraction]
@@ -292,15 +291,18 @@ class QJForm:
 def _make(num: dict[int, int], den: int) -> QJForm:
     """Canonical form of the numerators over den > 0: no zero numerator, gcd 1.
 
-    Zero numerators leave the gcd unchanged, so one gcd serves both rules
-    (with only zeros it is den itself, so zero comes out over 1), and num is
-    copied at most once, only when it holds a zero or the gcd is not 1.
+    The callee owns num, a dict its caller has just built, and divides it in
+    place.  Zero numerators leave the gcd unchanged, so one gcd serves both
+    rules (only zeros give den itself, so zero comes out over 1), and num is
+    copied only to drop zeros.
     """
     g = gcd(den, *num.values()) if den != 1 else 1
-    if g != 1 or 0 in num.values():
+    if 0 in num.values():
         num = {k: n // g for k, n in num.items() if n}
-        den //= g
-    return QJForm._raw(num, den)
+    elif g != 1:
+        for k, n in num.items():
+            num[k] = n // g
+    return QJForm._raw(num, den // g)
 
 
 def _combine(f: QJForm, sign: int, g: QJForm) -> QJForm:
@@ -326,13 +328,19 @@ def _combine(f: QJForm, sign: int, g: QJForm) -> QJForm:
 
 
 def _add_product(out: dict[int, int], m: int, a: dict[int, int], b: dict[int, int]) -> None:
-    # out += m*a*b on numerator dicts: a monomial product is a key sum.
-    if len(a) < len(b):
+    # out += m*a*b on numerator dicts: a monomial product is a key sum.  The outer
+    # loop runs over the smaller operand; a row into an empty out needs no lookup.
+    if len(a) > len(b):
         a, b = b, a
+    if not a:
+        return
     get = out.get
     inner = tuple(b.items())
     for k1, c1 in a.items():
         mc = m * c1
+        if not out:
+            out.update({k1 + k2: mc * c2 for k2, c2 in inner})
+            continue
         for k2, c2 in inner:
             k = k1 + k2
             out[k] = get(k, 0) + mc * c2
@@ -545,7 +553,8 @@ def q_coefficient(f: QJForm, j1: int, j2: int) -> ScaledJForm:
 
     One pass over the terms: a term whose e2 exponent is below j1 or whose
     e1 exponent is below j2 contributes nothing and is skipped before any
-    arithmetic, so ``binomial`` only sees arguments bounded by the exponents.
+    arithmetic.  The binomial weights come from ``math.comb``, once per
+    distinct e2 and once per distinct e1 exponent of the surviving terms.
     """
     if j1 < 0 or j2 < 0:
         return ZERO_SCALED
@@ -553,6 +562,8 @@ def q_coefficient(f: QJForm, j1: int, j2: int) -> ScaledJForm:
         return ScaledJForm(f, 0)
     sign = -1 if j1 % 2 else 1
     shift = j1 << _E2_SHIFT | j2 << _E1_SHIFT
+    w1: dict[int, int] = {}  # weight by e2 exponent, never 0 (e >= j1), so 0 is a miss
+    w2: dict[int, int] = {}  # weight by e1 exponent, likewise
     out: dict[int, int] = {}
     for key, n in f._num.items():
         e = key >> _E2_SHIFT
@@ -563,7 +574,9 @@ def q_coefficient(f: QJForm, j1: int, j2: int) -> ScaledJForm:
             continue
         # Both fields are at least their index, so key - shift borrows from
         # no field, and distinct keys stay distinct after the same shift.
-        out[key - shift] = n * (sign * binomial(e, j1) * binomial(d, j2))
+        we = w1.get(e) or w1.setdefault(e, sign * comb(e, j1))
+        wd = w2.get(d) or w2.setdefault(d, comb(d, j2))
+        out[key - shift] = n * we * wd
     if not out:
         return ZERO_SCALED
     return ScaledJForm(_make(out, f._den), j1 + j2)

@@ -13,7 +13,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qjforms import DWP, E2, WP, Bracket, Derivation, QJForm, bracket, derive, q_coefficient
+from qjforms import DWP, E1, E2, WP, ZERO, Bracket, Derivation, QJForm, bracket, derive, q_coefficient
 from qjforms.forms import sum_of_products
 from qjforms.parser import parse_and_evaluate
 
@@ -139,9 +139,10 @@ def ref_bracket(tag: Bracket, a: dict, b: dict, n: int) -> dict:
             out = ref_add(out, ref_scale(F((-1) ** r * comb(n, r)), ref_mul(fs, gs)))
         return out
     d = Derivation.DTAU if tag is Bracket.RC_TAU else Derivation.DJAC
+    gtowers = [(l, tower(d, gc)) for l, gc in ref_components(b).items()]
     for k, fc in ref_components(a).items():
-        for l, gc in ref_components(b).items():
-            ft, gt = tower(d, fc), tower(d, gc)
+        ft = tower(d, fc)
+        for l, gt in gtowers:
             for r in range(n + 1):
                 coeff = (-1) ** r * comb(k + n - 1, n - r) * comb(l + n - 1, r)
                 out = ref_add(out, ref_scale(F(coeff), ref_mul(ft[r], gt[n - r])))
@@ -200,6 +201,10 @@ def triple_lists(draw):
 
 small_forms = st.dictionaries(st.tuples(*(st.integers(0, 1) for _ in range(5))), coefficients, max_size=3)
 
+# Lopsided operands: the product loops over the smaller one, whichever side it is on.
+long_forms = st.dictionaries(exponents, coefficients, min_size=20, max_size=60)
+short_forms = st.dictionaries(exponents, coefficients, max_size=5)
+
 
 # -- differential tests ------------------------------------------------------
 
@@ -233,6 +238,62 @@ def test_sum_of_products_matches_reference(triples):
         expected = ref_add(expected, ref_scale(F(s), ref_mul(nonzero(a), nonzero(b))))
     assert ref(got) == expected
     canonical(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_forms, short_forms, st.integers(-6, 6).filter(bool), st.lists(st.tuples(scalars, raw_forms, raw_forms), max_size=3))
+def test_lopsided_products_match_reference(long, short, s, rest):
+    f, g, a, b = QJForm(long), QJForm(short), nonzero(long), nonzero(short)
+    expected = ref_mul(a, b)
+    for x in (f * g, g * f):
+        assert ref(x) == expected
+        canonical(x)
+    for x in (f * ZERO, ZERO * f, g * ZERO, ZERO * g, sum_of_products([(1, f, ZERO), (1, ZERO, g)])):
+        assert x == ZERO and ref(x) == {}
+    # In a sum of products only the first triple lands in an empty accumulator.
+    for first in ((s, long, short), (s, short, long)):
+        triples = [first, *rest]
+        got = sum_of_products((t, QJForm(x), QJForm(y)) for t, x, y in triples)
+        total: dict = {}
+        for t, x, y in triples:
+            total = ref_add(total, ref_scale(F(t), ref_mul(nonzero(x), nonzero(y))))
+        assert ref(got) == total
+        canonical(got)
+
+
+def _assert_operands_unchanged(operands, run):
+    copies = [QJForm(f.terms()) for f in operands]
+    for x in run():
+        canonical(x)
+    for f, copy in zip(operands, copies):
+        assert f.terms() == copy.terms()
+        assert f == copy and hash(f) == hash(copy)
+
+
+def _every_operation(f, g, r):
+    results = [f * g, g * f, f + g, f - g, g - f, r * f, f * r]
+    results += [part for _, part in f.weight_components() + (f + g).weight_components()]
+    results.append(sum_of_products([(r, f, g), (1, g, f), (2, f, f)]))
+    results += [derive(tag, f) for tag in Derivation]
+    results += [q_coefficient(f, j1, j2).form for j1 in range(3) for j2 in range(3)]
+    return results
+
+
+def test_operations_leave_their_operands_unchanged():
+    # Nearly every unreduced result here shares a factor above 1 with its
+    # denominator (f + g and f - g do for g = -f), so its fresh dict is
+    # divided in place; no operand's storage may change with it.
+    f = F(1, 6) * E1**4 + F(1, 2) * E2**2 * E1**2 + F(1, 3) * WP
+    g = 6 * WP * E1 + 2 * E2
+    _assert_operands_unchanged((f, g), lambda: _every_operation(f, g, 2))
+    _assert_operands_unchanged((f, -f), lambda: _every_operation(f, -f, F(3, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(form_pairs(), coefficients.filter(bool) | st.integers(-3, 3))
+def test_random_operations_leave_their_operands_unchanged(pair, r):
+    f, g = QJForm(pair[0]), QJForm(pair[1])
+    _assert_operands_unchanged((f, g), lambda: _every_operation(f, g, r))
 
 
 @settings(max_examples=25, deadline=None)

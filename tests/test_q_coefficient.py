@@ -7,10 +7,11 @@ is below j2 before any arithmetic, and answers (0, 0) with the form itself.
 """
 
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
-from qjforms import E1, E2, WP, ZERO, QJForm, ScaledJForm, arith, q_coefficient
+from qjforms import E1, E2, WP, ZERO, QJForm, ScaledJForm, arith, forms, q_coefficient
 from qjforms.forms import _E1_SHIFT, _E2_SHIFT, _FIELD_MASK, MAX_EXPONENT, ZERO_SCALED, _make
 
 F = Fraction
@@ -104,3 +105,25 @@ def test_huge_indices_add_no_binomial_entries():
     assert q_coefficient(f, 0, 10**20) == ZERO_SCALED
     assert q_coefficient(f, 10**20, 10**20) == ZERO_SCALED
     assert arith.binomial.cache_info().currsize == before
+
+
+def test_one_comb_per_distinct_exponent(monkeypatch):
+    # 120 terms share e2 = TOP, and comb(TOP, 2000) alone takes over half a
+    # millisecond, so a comb per term would cost a hundred times more.
+    terms = {(a, b, c, d, TOP): F(a + b + 1, c + 1) for a in range(4) for b in range(3) for c in range(2) for d in range(5)}
+    terms.update({(a, 0, 0, 1, 1999): a + 1 for a in range(5)})  # skipped for j1 = 2000
+    terms.update({(a, 1, 0, 0, TOP - 1): a + 1 for a in range(5)})  # skipped for every j2 > 0
+    f = QJForm(terms)
+    calls = []
+
+    def counting_comb(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(forms, "comb", counting_comb)
+    for j1, j2 in ((2000, 1), (2000, 0), (1, 3), (TOP, 4)):
+        calls.clear()
+        check(f, j1, j2)
+        survivors = [(e, d) for (_, _, _, d, e) in terms if e >= j1 and d >= j2]
+        assert survivors
+        assert len(calls) <= len({e for e, _ in survivors}) + len({d for _, d in survivors}), (j1, j2)
