@@ -21,10 +21,9 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from ._value import Value
-from .arith import binomial
 from .forms import (
     DWP,
     DZ_IMAGES,
@@ -143,12 +142,12 @@ def bracket(tag: Bracket, f: QJForm, g: QJForm, n: int) -> QJForm:
     if tag is Bracket.TV:
         fslots = _tv_slots(f, n)
         gslots = _tv_slots(g, n)
-        return sum_of_products(((-1) ** r * binomial(n, r), fslots[r], gslots[n - r]) for r in range(n + 1))
+        return sum_of_products(((-1) ** r * comb(n, r), fslots[r], gslots[n - r]) for r in range(n + 1))
     d = Derivation.DTAU if tag is Bracket.RC_TAU else Derivation.DJAC
     fcomps = [(k, _tower(d, comp, n)) for k, comp in f.weight_components()]
     gcomps = [(l, _tower(d, comp, n)) for l, comp in g.weight_components()]
     return sum_of_products(
-        ((-1) ** r * binomial(k + n - 1, n - r) * binomial(l + n - 1, r), ftower[r], gtower[n - r])
+        ((-1) ** r * comb(k + n - 1, n - r) * comb(l + n - 1, r), ftower[r], gtower[n - r])
         for k, ftower in fcomps
         for l, gtower in gcomps
         for r in range(n + 1)

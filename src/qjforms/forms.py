@@ -241,6 +241,9 @@ class QJForm:
     def __pow__(self, n: int) -> "QJForm":
         if not isinstance(n, int) or n < 0:
             raise ValueError("QJForm exponents are nonnegative integers")
+        # Each field's top exponent in f^n is n times its top exponent in f.
+        if n * max((max(_unpack(k)) for k in self._num), default=0) > MAX_EXPONENT:
+            raise ValueError(f"exponent above {MAX_EXPONENT} in a product")
         out = QJForm.constant(1)
         for _ in range(n):
             out = out * self

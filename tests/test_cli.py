@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,15 @@ class TestEval:
         code, out, err = run(capsys, "eval", "wp^20000*wp^20000")
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+    def test_power_overflow_fails_before_any_product(self, capsys, json_mode):
+        # (wp+e4)^40000 would need 40000 products to reach the overflow.
+        start = time.perf_counter()
+        code, out, err = run(capsys, *(["--json"] if json_mode else []), "eval", "(wp+e4)^40000")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and err == "error: exponent above 32767 in a product\n"
+        assert (json.loads(out)["ok"] is False) if json_mode else out == ""
 
     @pytest.mark.parametrize("expr", ["eis(3000)", "(" * 1200 + "wp" + ")" * 1200], ids=["eis3000", "nested1200"])
     def test_recursion_limit_exit_one(self, capsys, expr):

@@ -393,5 +393,19 @@ def test_derivation_overflowing_a_field_raises():
     )
 
 
+def test_power_overflowing_a_field_raises_before_any_product(monkeypatch):
+    # The top exponent of each field of f^n is n times that of f, so the
+    # check is exact: 32 * 1000 fits and 33 * 1000 does not, in the wp field
+    # and in the e1 field.
+    bigs = (QJForm.monomial((1000, 0, 0, 0, 0)), WP + QJForm.monomial((0, 0, 0, 1000, 2)))
+    assert bigs[0] ** 32 == QJForm.monomial((32000, 0, 0, 0, 0))
+    calls = []
+    monkeypatch.setattr(QJForm, "__mul__", lambda *args: calls.append(args))
+    for big in bigs:
+        with pytest.raises(ValueError, match="exponent above 32767 in a product"):
+            big**33
+    assert calls == []
+
+
 def test_guard_leaves_in_range_products_alone():
     assert (WP**3 * E2) * (WP * E2**2) == WP**4 * E2**3

@@ -121,13 +121,20 @@ class TestColdStart:
             ("qjforms.forms", "qjforms.calculus"),
             ("qjforms.verify", "dataclasses"),
             ("qjforms.series", "qjforms.calculus"),
+            ("qjforms.calculus", "qjforms.arith"),
         ],
-        ids=["forms-without-calculus", "verify-without-dataclasses", "series-without-calculus"],
+        ids=[
+            "forms-without-calculus",
+            "verify-without-dataclasses",
+            "series-without-calculus",
+            "calculus-without-arith",
+        ],
     )
     def test_module_does_not_load(self, module, absent):
         # forms decides membership without calculus (no import cycle), no
-        # class that verify defines is a dataclass, and the series oracle
-        # does not run the derivation engine it checks.
+        # class that verify defines is a dataclass, the series oracle does
+        # not run the derivation engine it checks, and the kernel behind an
+        # `eval` query takes its binomials from math.comb, not the arith memos.
         proc = python("-c", f"import sys, {module}; print({absent!r} in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"

@@ -89,11 +89,28 @@ PERTURBATIONS = [
     ("delta_commutator:dtau_djac", Derivation.DJAC, 4, WP, "Delta-commutator fails for Derivation.DJAC on e2"),
     ("weight_shift:derivations", Derivation.DZ, 2, E1, "Derivation.DZ is not homogeneous of shift 1 on e4"),
     ("ob:depth_and_js", Derivation.OB, 2, E2**3, "Ob depth (3,0) exceeds (1,0) on e4"),
+    # The laws of the Q-coefficient calculus.  Each term keeps the image's
+    # weight.  The check runs the inclusions, then the dz, dtau and Ob rules,
+    # so each term is reported by the law it is meant to break, though a
+    # later law may break too: the Ob table is built from the unperturbed
+    # images, so a changed dz or dtau image also breaks the Ob rule at (0,0).
+    ("structure:depth_q_calculus", Derivation.DZ, 2, E1 * E4, "refined dz inclusion fails on e4"),
+    ("structure:depth_q_calculus", Derivation.DTAU, 0, WP * E1**2, "refined dtau inclusion fails on wp"),
+    ("structure:depth_q_calculus", Derivation.DZ, 3, E2, "Q dz formula fails at (1,0) on e1"),
+    ("structure:depth_q_calculus", Derivation.DTAU, 4, E2**2, "Q dtau formula fails at (1,0) on e2"),
+    ("structure:depth_q_calculus", Derivation.OB, 0, E4, "Q Oberdieck formula fails at (0,0) on wp"),
 ]
 
 
+def perturbation_id(name: str, detail: str) -> str:
+    # The check's prefix, or for the Q calculus the law the detail names.
+    if name == "structure:depth_q_calculus":
+        return detail.split(" fails")[0].replace(" ", "_")
+    return name.split(":")[0]
+
+
 @pytest.mark.parametrize(
-    "name, tag, index, term, detail", PERTURBATIONS, ids=[p[0].split(":")[0] for p in PERTURBATIONS]
+    "name, tag, index, term, detail", PERTURBATIONS, ids=[perturbation_id(p[0], p[4]) for p in PERTURBATIONS]
 )
 def test_decided_check_names_the_perturbed_generator(name, tag, index, term, detail):
     images = [derive(tag, g) for g in (WP, DWP, E4, E1, E2)]
