@@ -17,12 +17,18 @@ _EXPORTS = {
         "arith": ("bernoulli", "binomial", "sigma"),
         "calculus": (
             "ALGEBRA_GENERATORS",
+            "Algebra",
             "Bracket",
             "Derivation",
+            "EisensteinMethod",
+            "InconsistencyError",
             "StabilityReport",
             "bracket",
             "check_stability",
             "derive",
+            "eisenstein_in_generators",
+            "member",
+            "monomials_of_weight",
             "star_truncated",
             "transvectant_by_recurrence",
         ),
@@ -44,17 +50,11 @@ _EXPORTS = {
             "ONE",
             "WP",
             "ZERO",
-            "Algebra",
             "DepthProfile",
-            "EisensteinMethod",
             "Generator",
-            "InconsistencyError",
             "QJForm",
             "ScaledJForm",
             "e6_form",
-            "eisenstein_in_generators",
-            "member",
-            "monomials_of_weight",
             "q_coefficient",
         ),
         "series": (

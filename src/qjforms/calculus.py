@@ -1,11 +1,10 @@
-"""Derivations, Rankin-Cohen brackets, transvectants and stability checks.
+"""Derivations, brackets, the six subalgebras and the Eisenstein reduction.
 
 Every derivation extends a generator-image table by the Leibniz rule
 (:func:`qjforms.forms.leibniz`).  The two primitive ones:
 
-* ``DZ`` (elliptic, weight +1): the images :data:`qjforms.forms.DZ_IMAGES`,
-  defined with the forms because M and Minf are the dz-constants of JS and
-  JSinf0 (:func:`qjforms.forms.member`).
+* ``DZ`` (elliptic, weight +1), whose generator images are below; M and
+  Minf are its constants in JS and JSinf0 (:func:`member`).
 * ``DTAU`` (modular, weight +2): the normalized (pi/2i) d/dtau, whose
   generator images are the rational combinations below.
 
@@ -26,19 +25,18 @@ from math import comb, factorial
 from ._value import Value
 from .forms import (
     DWP,
-    DZ_IMAGES,
-    DZ_TABLE,
     E1,
     E2,
     E4,
     GENERATOR_WEIGHTS,
+    ONE,
     WP,
-    Algebra,
+    ZERO,
+    Exponents,
     QJForm,
     e6_form,
     image_table,
     leibniz,
-    member,
     sum_of_products,
 )
 
@@ -72,6 +70,7 @@ _QUARTER = Fraction(1, 4)
 
 # Generator images, indexed like the exponent tuple (wp, dwp, e4, e1, e2).
 _GENERATORS = (WP, DWP, E4, E1, E2)
+_DZ_IMAGES = (DWP, 6 * WP**2 - 30 * E4, ZERO, -WP - E2, ZERO)
 _DTAU_IMAGES = (
     -_QUARTER * (E1 * DWP) - _HALF * WP**2 + _HALF * (E2 * WP) + 5 * E4,
     Fraction(3, 2) * ((5 * E4 - WP**2) * E1) + Fraction(3, 4) * ((E2 - WP) * DWP),
@@ -83,13 +82,13 @@ _DTAU_IMAGES = (
 # on each generator x; the Leibniz rule then gives the weight term k*e2*f.
 _OB_IMAGES = tuple(
     4 * t + E1 * z - w * (E2 * x)
-    for t, z, w, x in zip(_DTAU_IMAGES, DZ_IMAGES, GENERATOR_WEIGHTS, _GENERATORS)
+    for t, z, w, x in zip(_DTAU_IMAGES, _DZ_IMAGES, GENERATOR_WEIGHTS, _GENERATORS)
 )
-_DJAC_IMAGES = tuple(t + _QUARTER * (E1 * z) for t, z in zip(_DTAU_IMAGES, DZ_IMAGES))
+_DJAC_IMAGES = tuple(t + _QUARTER * (E1 * z) for t, z in zip(_DTAU_IMAGES, _DZ_IMAGES))
 _DELTA_IMAGES = tuple(Fraction(w, 2) * x for w, x in zip(GENERATOR_WEIGHTS, _GENERATORS))
 
 _TABLES = {
-    Derivation.DZ: DZ_TABLE,
+    Derivation.DZ: image_table(_DZ_IMAGES),
     Derivation.DTAU: image_table(_DTAU_IMAGES),
     Derivation.OB: image_table(_OB_IMAGES),
     Derivation.DJAC: image_table(_DJAC_IMAGES),
@@ -197,6 +196,75 @@ def star_truncated(tag: Bracket, f: QJForm, g: QJForm, order: int) -> list[QJFor
     return out
 
 
+class Algebra(Enum):
+    """The remarkable subalgebras, by the generators they add to M or JS."""
+
+    M = "M"
+    MINF = "Minf"
+    JS = "JS"
+    JS0INF = "JS0inf"
+    JSINF0 = "JSinf0"
+    JSINF = "JSinf"
+
+
+# Per algebra: whether its monomials may use e2 and e1, and whether its
+# forms must also be dz-constants (M and Minf; see member).
+_MEMBERSHIP: dict[Algebra, tuple[bool, bool, bool]] = {
+    Algebra.JSINF: (True, True, False),
+    Algebra.JSINF0: (True, False, False),
+    Algebra.JS0INF: (False, True, False),
+    Algebra.JS: (False, False, False),
+    Algebra.M: (False, False, True),
+    Algebra.MINF: (True, False, True),
+}
+
+
+def monomials_of_weight(k: int, algebra: Algebra = Algebra.JSINF) -> list[Exponents]:
+    """All exponent tuples of weight k whose support fits the given algebra.
+
+    Only the four monomial subalgebras are supported; M and Minf are not
+    spanned by monomials in these generators.
+    """
+    allow_e, allow_d, dz_constant = _MEMBERSHIP[algebra]
+    if dz_constant:
+        raise ValueError("M and Minf are not monomial subalgebras of the five generators")
+    out: list[Exponents] = []
+    for e in range((k // 2 if allow_e else 0) + 1):
+        we = k - 2 * e
+        for d in range((we if allow_d else 0) + 1):
+            wd = we - d
+            for c in range(wd // 4 + 1):
+                wc = wd - 4 * c
+                for b in range(wc // 3 + 1):
+                    wb = wc - 3 * b
+                    if wb % 2 == 0:
+                        out.append((wb // 2, b, c, d, e))
+    return out
+
+
+def member(f: QJForm, algebra: Algebra) -> bool:
+    """Membership of f in one of the six subalgebras.
+
+    f must avoid the generators its algebra leaves out; M and Minf are
+    moreover the kernels of dz on JS and JSinf0.  Every f in JS is A + dwp*B
+    with A, B in Q[wp, e4, e6] (as dwp^2 = 4wp^3 - 60e4*wp - 140e6), and
+    dz(A + dwp*B) = dwp*dA/dwp + [(6wp^2 - 30e4)*B + dwp^2*dB/dwp], whose
+    bracket has top wp-term (6 + 4d)*b_d*wp^(d+2) for B of wp-degree d, so
+    dz(f) = 0 exactly when B = 0 and A lies in Q[e4, e6] = M.  As dz(e2) = 0,
+    the same holds for every e2-power of a form in JSinf0.
+    """
+    try:
+        allow_e, allow_d, dz_constant = _MEMBERSHIP[algebra]
+    except KeyError:
+        raise ValueError(f"unknown algebra {algebra!r}") from None
+    if f and not (allow_e and allow_d):
+        s1, s2 = f.depth()
+        if (s1 and not allow_e) or (s2 and not allow_d):
+            return False
+    # dz by its table, not through the derive memo that bracket towers share.
+    return not (dz_constant and leibniz(_TABLES[Derivation.DZ], f))
+
+
 class StabilityReport(Value):
     """Outcome of a closure check: closed, or the first failing generator."""
 
@@ -227,3 +295,64 @@ def check_stability(algebra: Algebra, tag: Derivation) -> StabilityReport:
         if not member(derive(tag, gen), algebra):
             return StabilityReport(False, name)
     return StabilityReport(True, None)
+
+
+class EisensteinMethod(Enum):
+    LAURENT = "laurent"
+    GUNTHER = "gunther"
+
+
+class InconsistencyError(ArithmeticError):
+    """Two routes that must agree produced different results."""
+
+
+# Each step of both recursions is one sum_of_products over the symmetric pairs,
+# each taken once, collected by a plain loop: one Python frame per step.
+@lru_cache(maxsize=None)
+def _laurent_c(n: int) -> QJForm:
+    # c_n = (2n+1) * e_{2n+2} as a form; the Laurent recursion of the
+    # Weierstrass ODE determines c_n for n >= 3 from c_1 and c_2:
+    # c_n = 6 / (2n(2n-1) - 12) * sum over a + b = n - 1 of c_a c_b.
+    if n == 1:
+        return 3 * E4
+    if n == 2:
+        return 5 * e6_form()
+    scale = Fraction(6, 2 * n * (2 * n - 1) - 12)
+    triples = []
+    for a in range(1, (n - 1) // 2 + 1):
+        triples.append((scale if 2 * a == n - 1 else 2 * scale, _laurent_c(a), _laurent_c(n - 1 - a)))
+    return sum_of_products(triples)
+
+
+@lru_cache(maxsize=None)
+def _gunther_e(two_n: int) -> QJForm:
+    # Solve the z^(2n) Fourier-Laurent identity for e_{2n+4}, inductively:
+    # (n+2)(2n+5) e_{2n+4} = (n+1)(2n+1) e_{2n+2} e2 - 2(2n+1) dtau(e_{2n+2})
+    #   + sum over a + b = n, a, b >= 1 of (2a+1)(a-2b-1) e_{2a+2} e_{2b+2}.
+    if two_n == 4:
+        return E4
+    n = two_n // 2 - 2
+    prev = _gunther_e(two_n - 2)
+    scale = Fraction(1, (n + 2) * (2 * n + 5))
+    step = (2 * n + 1) * scale
+    triples = [((n + 1) * step, prev, E2), (-2 * step, derive(Derivation.DTAU, prev), ONE)]
+    for a in range(1, n // 2 + 1):
+        b = n - a
+        weight = (2 * a + 1) * (a - 2 * b - 1)
+        if a != b:
+            weight += (2 * b + 1) * (b - 2 * a - 1)
+        triples.append((weight * scale, _gunther_e(2 * a + 2), _gunther_e(2 * b + 2)))
+    result = sum_of_products(triples)
+    if not member(result, Algebra.JS):
+        raise InconsistencyError(f"e_{two_n} solved with residual depth: {result}")
+    return result
+
+
+def eisenstein_in_generators(two_n: int, method: EisensteinMethod = EisensteinMethod.LAURENT) -> QJForm:
+    """The weight-2n Eisenstein form expressed in the JS generators wp, dwp, e4."""
+    if two_n % 2 != 0 or two_n < 4:
+        raise ValueError("Eisenstein reduction requires an even weight >= 4")
+    if method is EisensteinMethod.GUNTHER:
+        return _gunther_e(two_n)
+    n = two_n // 2 - 1
+    return Fraction(1, 2 * n + 1) * _laurent_c(n)

@@ -114,7 +114,7 @@ def _cmd_depth(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    from .forms import Algebra, member
+    from .calculus import Algebra, member
 
     algebra = _choose(Algebra, args.algebra, "algebra")
     verdict = member(_plain_form(args.expr, "member"), algebra)

@@ -49,8 +49,6 @@ _SHIFTS = tuple(_FIELD_BITS * i for i in range(5))
 _UNITS = tuple(1 << s for s in _SHIFTS)
 _GUARD = sum(1 << (s + _FIELD_BITS - 1) for s in _SHIFTS)
 _E1_SHIFT, _E2_SHIFT = _SHIFTS[3], _SHIFTS[4]
-_E1_FIELD = _FIELD_MASK << _E1_SHIFT
-_E2_FIELD = _FIELD_MASK << _E2_SHIFT
 
 
 class Generator(Enum):
@@ -461,29 +459,6 @@ class ScaledJForm(Value):
 ZERO_SCALED = ScaledJForm(ZERO, 0)
 
 
-class Algebra(Enum):
-    """The remarkable subalgebras, by the generators they add to M or JS."""
-
-    M = "M"
-    MINF = "Minf"
-    JS = "JS"
-    JS0INF = "JS0inf"
-    JSINF0 = "JSinf0"
-    JSINF = "JSinf"
-
-
-# Per algebra: the exponent fields its monomials may not use, and whether
-# its forms must also be dz-constants (M and Minf; see member).
-_MEMBERSHIP: dict[Algebra, tuple[int, bool]] = {
-    Algebra.JSINF: (0, False),
-    Algebra.JSINF0: (_E1_FIELD, False),
-    Algebra.JS0INF: (_E2_FIELD, False),
-    Algebra.JS: (_E1_FIELD | _E2_FIELD, False),
-    Algebra.M: (_E1_FIELD | _E2_FIELD, True),
-    Algebra.MINF: (_E1_FIELD, True),
-}
-
-
 @lru_cache(maxsize=1)
 def e6_form() -> QJForm:
     """The weight-6 Eisenstein combination -(1/140)dwp^2 + (1/35)wp^3 - (3/7)wp*e4."""
@@ -494,57 +469,6 @@ def e6_form() -> QJForm:
             (1, 0, 1, 0, 0): Fraction(-3, 7),
         }
     )
-
-
-# Images of wp, dwp, e4, e1, e2 under the elliptic derivation dz (weight +1),
-# packed for the Leibniz kernel; calculus builds dz, ob and d from them.
-DZ_IMAGES = (DWP, 6 * WP**2 - 30 * E4, ZERO, -WP - E2, ZERO)
-DZ_TABLE = image_table(DZ_IMAGES)
-
-
-def monomials_of_weight(k: int, algebra: Algebra = Algebra.JSINF) -> list[Exponents]:
-    """All exponent tuples of weight k whose support fits the given algebra.
-
-    Only the four monomial subalgebras are supported; M and Minf are not
-    spanned by monomials in these generators.
-    """
-    fields, dz_constant = _MEMBERSHIP[algebra]
-    if dz_constant:
-        raise ValueError("M and Minf are not monomial subalgebras of the five generators")
-    allow_d = not fields & _E1_FIELD
-    allow_e = not fields & _E2_FIELD
-    out: list[Exponents] = []
-    for e in range((k // 2 if allow_e else 0) + 1):
-        we = k - 2 * e
-        for d in range((we if allow_d else 0) + 1):
-            wd = we - d
-            for c in range(wd // 4 + 1):
-                wc = wd - 4 * c
-                for b in range(wc // 3 + 1):
-                    wb = wc - 3 * b
-                    if wb % 2 == 0:
-                        out.append((wb // 2, b, c, d, e))
-    return out
-
-
-def member(f: QJForm, algebra: Algebra) -> bool:
-    """Membership of f in one of the six subalgebras.
-
-    f must avoid the generators its algebra leaves out; M and Minf are
-    moreover the kernels of dz on JS and JSinf0.  Every f in JS is A + dwp*B
-    with A, B in Q[wp, e4, e6] (as dwp^2 = 4wp^3 - 60e4*wp - 140e6), and
-    dz(A + dwp*B) = dwp*dA/dwp + [(6wp^2 - 30e4)*B + dwp^2*dB/dwp], whose
-    bracket has top wp-term (6 + 4d)*b_d*wp^(d+2) for B of wp-degree d, so
-    dz(f) = 0 exactly when B = 0 and A lies in Q[e4, e6] = M.  As dz(e2) = 0,
-    the same holds for every e2-power of a form in JSinf0.
-    """
-    try:
-        fields, dz_constant = _MEMBERSHIP[algebra]
-    except KeyError:
-        raise ValueError(f"unknown algebra {algebra!r}") from None
-    if fields and any(k & fields for k in f._num):
-        return False
-    return not (dz_constant and leibniz(DZ_TABLE, f))
 
 
 def q_coefficient(f: QJForm, j1: int, j2: int) -> ScaledJForm:
@@ -583,58 +507,3 @@ def q_coefficient(f: QJForm, j1: int, j2: int) -> ScaledJForm:
     if not out:
         return ZERO_SCALED
     return ScaledJForm(_make(out, f._den), j1 + j2)
-
-
-class EisensteinMethod(Enum):
-    LAURENT = "laurent"
-    GUNTHER = "gunther"
-
-
-class InconsistencyError(ArithmeticError):
-    """Two routes that must agree produced different results."""
-
-
-@lru_cache(maxsize=None)
-def _laurent_c(n: int) -> QJForm:
-    # c_n = (2n+1) * e_{2n+2} as a form; the Laurent recursion of the
-    # Weierstrass ODE determines c_n for n >= 3 from c_1 and c_2.
-    if n == 1:
-        return 3 * E4
-    if n == 2:
-        return 5 * e6_form()
-    acc = ZERO
-    for a in range(1, n - 1):
-        acc = acc + _laurent_c(a) * _laurent_c(n - 1 - a)
-    return Fraction(6, 2 * n * (2 * n - 1) - 12) * acc
-
-
-@lru_cache(maxsize=None)
-def _gunther_e(two_n: int) -> QJForm:
-    # Solve the z^(2n) Fourier-Laurent identity for e_{2n+4}, inductively.
-    if two_n == 4:
-        return E4
-    from .calculus import Derivation, derive
-
-    n = two_n // 2 - 2
-    prev = _gunther_e(two_n - 2)
-    acc = (n + 1) * (2 * n + 1) * (prev * E2)
-    for a in range(1, n):
-        b = n - a
-        acc = acc + (2 * a + 1) * (a - 2 * b - 1) * (_gunther_e(2 * a + 2) * _gunther_e(2 * b + 2))
-    acc = acc - 2 * (2 * n + 1) * derive(Derivation.DTAU, prev)
-    result = Fraction(1, (n + 2) * (2 * n + 5)) * acc
-    if not member(result, Algebra.JS):
-        raise InconsistencyError(f"e_{two_n} solved with residual depth: {result}")
-    return result
-
-
-def eisenstein_in_generators(two_n: int, method: EisensteinMethod = EisensteinMethod.LAURENT) -> QJForm:
-    """The weight-2n Eisenstein form expressed in the JS generators wp, dwp, e4."""
-    if two_n % 2 != 0 or two_n < 4:
-        raise ValueError("Eisenstein reduction requires an even weight >= 4")
-    if method is EisensteinMethod.GUNTHER:
-        return _gunther_e(two_n)
-    if two_n == 4:
-        return E4
-    n = two_n // 2 - 1
-    return Fraction(1, 2 * n + 1) * _laurent_c(n)

@@ -21,8 +21,8 @@ from functools import partial
 from typing import Union
 
 from ._value import Value
-from .calculus import Bracket, Derivation, bracket, derive
-from .forms import Generator, QJForm, ScaledJForm, e6_form, eisenstein_in_generators, q_coefficient
+from .calculus import Bracket, Derivation, bracket, derive, eisenstein_in_generators
+from .forms import Generator, QJForm, ScaledJForm, e6_form, q_coefficient
 
 
 class ParseError(ValueError):

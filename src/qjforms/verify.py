@@ -21,12 +21,17 @@ from .calculus import (
     ALGEBRA_GENERATORS,
     BRACKET_WEIGHT_SHIFT,
     DERIVATION_WEIGHT_SHIFT,
+    Algebra,
     Bracket,
     Derivation,
+    EisensteinMethod,
     StabilityReport,
     bracket,
     check_stability,
     derive,
+    eisenstein_in_generators,
+    member,
+    monomials_of_weight,
     star_truncated,
     transvectant_by_recurrence,
 )
@@ -47,16 +52,11 @@ from .forms import (
     ONE,
     WP,
     ZERO,
-    Algebra,
     DepthProfile,
-    EisensteinMethod,
     QJForm,
     ScaledJForm,
     e6_form,
-    eisenstein_in_generators,
     iter_terms,
-    member,
-    monomials_of_weight,
     q_coefficient,
 )
 from .series import (
@@ -728,19 +728,17 @@ def suite_oracle(rng: random.Random, quick: bool = False) -> list[Check]:
 
     rec.check("expand:one", one)
 
+    # At this window expand is injective only through weight 8 (pinned in the
+    # tests), so every expansion compared below has weight <= 8.
     def homomorphism() -> str | None:
         for _ in range(n_random):
             k = rng.randint(1, 8)
             f = random_form(rng, k)
             g = random_form(rng, k)
-            if f is None or g is None:
-                continue
             rhs = series_add(expand(f, q_prec, u_max), expand(g, q_prec, u_max))
             if not series_equal(expand(f + g, q_prec, u_max), rhs, 8):
                 return f"additivity fails on {f} | {g}"
-            h = random_form(rng, rng.randint(1, 6))
-            if h is None:
-                continue
+            h = random_form(rng, rng.randint(0, 8 - k))
             lhs2 = expand(f * h, q_prec, u_max)
             rhs2 = series_mul(expand(f, q_prec, u_max), expand(h, q_prec, u_max))
             if not series_equal(lhs2, rhs2, 8):
@@ -751,7 +749,7 @@ def suite_oracle(rng: random.Random, quick: bool = False) -> list[Check]:
 
     def correspondence() -> str | None:
         for _ in range(n_random):
-            f = _random_form_retry(rng, 8)
+            f = _random_form_retry(rng, 6)
             lhs = expand(derive(Derivation.DZ, f), q_prec, u_max)
             rhs = series_derive(SeriesDerivation.DU, expand(f, q_prec, u_max))
             if not series_equal(lhs, rhs, 8):

@@ -103,6 +103,19 @@ class TestOracleIndependence:
         assert names.isdisjoint({"_add_product", "sum_of_products", "leibniz", "_make"})
 
 
+class TestLayering:
+    def test_forms_imports_nothing_from_calculus(self):
+        # At any scope: test_module_does_not_load cannot see an import made
+        # inside a function.
+        names = set()
+        for node in ast.walk(ast.parse(Path(SRC, "qjforms", "forms.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names |= {node.module or ""} | {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+        assert not any("calculus" in name.split(".") for name in names)
+
+
 class TestColdStart:
     def test_cli_import_loads_only_the_query_path(self):
         probe = (
@@ -131,7 +144,7 @@ class TestColdStart:
         ],
     )
     def test_module_does_not_load(self, module, absent):
-        # forms decides membership without calculus (no import cycle), no
+        # forms does not load calculus (no import cycle), no
         # class that verify defines is a dataclass, the series oracle does
         # not run the derivation engine it checks, and the kernel behind an
         # `eval` query takes its binomials from math.comb, not the arith memos.
