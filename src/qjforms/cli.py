@@ -202,6 +202,9 @@ def _cmd_verify(args) -> int:
             if not c.ok:
                 failures.append(f"{suite}/{c.name}")
         lines.append(f"suite {suite}: {passed} passed, {failed} failed")
+        if failed:
+            # Each suite seeds its own generator, so this repeats its draws.
+            lines.append(f"rerun: qjalg verify {suite} --seed {args.seed}{' --quick' if args.quick else ''}")
     ok = not failures
     lines.append("all checks passed" if ok else f"{len(failures)} check(s) failed")
     return _emit(args, {"suites": suites_json}, "\n".join(lines), ok=ok, errors=failures)

@@ -179,9 +179,9 @@ class QJForm:
         """Bidegree (max e2-exponent, max e1-exponent); undefined for zero."""
         if not self._num:
             raise ValueError("the zero form has no depth")
-        s1 = max(k >> _E2_SHIFT for k in self._num)
+        # e2 is the top field, so the largest key has the largest e2 exponent.
         s2 = max(k >> _E1_SHIFT & _FIELD_MASK for k in self._num)
-        return DepthProfile(s1, s2)
+        return DepthProfile(max(self._num) >> _E2_SHIFT, s2)
 
     # -- arithmetic ---------------------------------------------------------
 

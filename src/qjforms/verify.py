@@ -12,9 +12,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, partial
+from itertools import product
 from math import comb, factorial
 from types import SimpleNamespace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from ._value import Value
 from .calculus import (
@@ -118,6 +119,27 @@ def _random_form_retry(
         f = random_form(rng, rng.randint(1, max_weight), algebra, max_terms)
         if f is not None:
             return f
+
+
+def _samples(
+    rng: random.Random, n: int, *max_weights: int, algebra: Algebra = Algebra.JSINF, max_terms: int = 3
+) -> Iterator[tuple[QJForm, ...]]:
+    # n random cases, drawn as they are consumed: one form of weight 1..w per w.
+    for _ in range(n):
+        yield tuple(_random_form_retry(rng, w, algebra, max_terms) for w in max_weights)
+
+
+def _first_failure(cases: Iterable[tuple[QJForm, ...]], law: Callable[..., str | None]) -> str | None:
+    """The first detail `law` returns on a case, then ` on ` and the case's forms in parser syntax."""
+    for forms in cases:
+        detail = law(*forms)
+        if detail:
+            return f"{detail} on {' | '.join(map(str, forms))}"
+    return None
+
+
+# One case per generator of JSinf; `str` prints each by its name.
+_GENERATORS = tuple((gen,) for _, gen in ALGEBRA_GENERATORS[Algebra.JSINF])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +255,6 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
     rec = _Recorder()
     n_forms = 40 if quick else 200
     n_pairs = 10 if quick else 40
-    generators = ALGEBRA_GENERATORS[Algebra.JSINF]
 
     for (alg, tag), witness in _EXPECTED_MATRIX.items():
         rec.check(
@@ -249,33 +270,23 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
 
     # Sampled, not decided: this is the premise that `derive` is a derivation,
     # on which every check decided on the generators below rests.
-    def leibniz_battery() -> str | None:
-        for _ in range(n_pairs):
-            f = _random_form_retry(rng, 8)
-            g = _random_form_retry(rng, 8)
-            for tag in Derivation:
-                if derive(tag, f * g) != derive(tag, f) * g + f * derive(tag, g):
-                    return f"Leibniz fails for {tag} on {f} | {g}"
+    def leibniz(f: QJForm, g: QJForm) -> str | None:
+        for tag in Derivation:
+            if derive(tag, f * g) != derive(tag, f) * g + f * derive(tag, g):
+                return f"Leibniz fails for {tag}"
         return None
 
-    rec.check("leibniz:all_tags", leibniz_battery)
+    rec.check("leibniz:all_tags", lambda: _first_failure(_samples(rng, n_pairs, 8, 8), leibniz))
 
     # Decided on the generators.  For derivations D and E, [D, E] and
     # [Delta, D] - D are again derivations, so each vanishes everywhere when
     # it vanishes on the generators; by the Leibniz rule, a weight shift and
     # a depth increase of at most (1, 0) hold on every form when they hold
     # on each generator.
-    def on_generators(law: Callable[[QJForm], str | None]) -> str | None:
-        for name, gen in generators:
-            detail = law(gen)
-            if detail:
-                return f"{detail} on {name}"
-        return None
-
     dz, dtau = partial(derive, Derivation.DZ), partial(derive, Derivation.DTAU)
     rec.check(
         "commutation:dz_dtau",
-        lambda: on_generators(lambda x: None if dz(dtau(x)) == dtau(dz(x)) else "dz dtau != dtau dz"),
+        lambda: _first_failure(_GENERATORS, lambda x: None if dz(dtau(x)) == dtau(dz(x)) else "dz dtau != dtau dz"),
     )
 
     def delta_commutator(x: QJForm) -> str | None:
@@ -284,7 +295,7 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
                 return f"Delta-commutator fails for {tag}"
         return None
 
-    rec.check("delta_commutator:dtau_djac", lambda: on_generators(delta_commutator))
+    rec.check("delta_commutator:dtau_djac", lambda: _first_failure(_GENERATORS, delta_commutator))
 
     def weight_shift(x: QJForm) -> str | None:
         for tag, shift in DERIVATION_WEIGHT_SHIFT.items():
@@ -293,7 +304,7 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
                 return f"{tag} is not homogeneous of shift {shift}"
         return None
 
-    rec.check("weight_shift:derivations", lambda: on_generators(weight_shift))
+    rec.check("weight_shift:derivations", lambda: _first_failure(_GENERATORS, weight_shift))
 
     def ob_depth(x: QJForm) -> str | None:
         # Ob preserving JS is the matrix cell JS/ob.
@@ -301,7 +312,7 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
         d1, d2 = img.depth() if img else (0, 0)
         return f"Ob depth ({d1},{d2}) exceeds ({s1 + 1},{s2})" if d1 > s1 + 1 or d2 > s2 else None
 
-    rec.check("ob:depth_and_js", lambda: on_generators(ob_depth))
+    rec.check("ob:depth_and_js", lambda: _first_failure(_GENERATORS, ob_depth))
 
     # Phi(f) = f(e1 + Y, e2 - X) is a ring homomorphism, and Q_{j1,j2}(f) is
     # its X^j1 Y^j2 coefficient.  Each Q rule reads Phi D = E Phi for a
@@ -343,38 +354,34 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
 
     # Sampled: the premises (depth additivity; the Q product rule, which says Phi
     # is a homomorphism) and the facts that are not derivation laws.
-    def structure_battery() -> str | None:
-        probes = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1))
-        for _ in range(n_forms):
-            k = rng.randint(1, 14)
-            f = random_form(rng, k)
-            if f is None:
-                continue
-            g = _random_form_retry(rng, 10)
-            s1, s2 = f.depth()
-            t1, t2 = g.depth()
-            if (f * g).depth() != DepthProfile(s1 + t1, s2 + t2):
-                return f"depth additivity fails on {f} | {g}"
-            for i, j in probes:
-                lhs = q_coefficient(f * g, i, j)
-                acc = ScaledJForm(ZERO, 0)
-                for al in range(i + 1):
-                    for ga in range(j + 1):
-                        acc = acc + q_coefficient(f, al, ga) * q_coefficient(g, i - al, j - ga)
-                if lhs.form != acc.form:
-                    return f"Q product rule fails at ({i},{j}) on {f} | {g}"
-                if not lhs.is_zero() and lhs.c_power != i + j:
-                    return f"Q c-power wrong at ({i},{j}) on {f} | {g}"
-            if not q_coefficient(f, s1 + 1, s2).is_zero() or not q_coefficient(f, s1, s2 + 1).is_zero():
-                return f"Q does not vanish beyond depth on {f}"
-            corner = q_coefficient(f, s1, s2)
-            if not member(corner.form, Algebra.JS):
-                return f"corner coefficient leaves JS on {f}"
-            if not corner.is_zero() and corner.form.weight() != k - 2 * s1 - s2:
-                return f"corner weight wrong on {f}"
+    def structure(f: QJForm, g: QJForm) -> str | None:
+        s1, s2 = f.depth()
+        t1, t2 = g.depth()
+        if (f * g).depth() != DepthProfile(s1 + t1, s2 + t2):
+            return "depth additivity fails"
+        for i, j in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
+            lhs = q_coefficient(f * g, i, j)
+            acc = ScaledJForm(ZERO, 0)
+            for al in range(i + 1):
+                for ga in range(j + 1):
+                    acc = acc + q_coefficient(f, al, ga) * q_coefficient(g, i - al, j - ga)
+            if lhs.form != acc.form:
+                return f"Q product rule fails at ({i},{j})"
+            if not lhs.is_zero() and lhs.c_power != i + j:
+                return f"Q c-power wrong at ({i},{j})"
+        if not q_coefficient(f, s1 + 1, s2).is_zero() or not q_coefficient(f, s1, s2 + 1).is_zero():
+            return "Q does not vanish beyond depth"
+        corner = q_coefficient(f, s1, s2)
+        if not member(corner.form, Algebra.JS):
+            return "corner coefficient leaves JS"
+        if not corner.is_zero() and corner.form.weight() != f.weight() - 2 * s1 - s2:
+            return "corner weight wrong"
         return None
 
-    rec.check("structure:depth_q_calculus", lambda: on_generators(q_calculus) or structure_battery())
+    rec.check(
+        "structure:depth_q_calculus",
+        lambda: _first_failure(_GENERATORS, q_calculus) or _first_failure(_samples(rng, n_forms, 14, 10), structure),
+    )
     return rec.checks
 
 
@@ -403,18 +410,15 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
     n_misc = 8 if quick else 25
 
     def stability_battery(tag: Bracket, algebra: Algebra, with_e1: bool) -> Callable[[], str | None]:
-        def run() -> str | None:
-            for _ in range(n_pairs):
-                f = _random_form_retry(rng, 10, algebra)
-                g = _random_form_retry(rng, 10, algebra)
-                for n in range(5):
-                    if not member(bracket(tag, f, g, n), algebra):
-                        return f"{tag} order {n} leaves {algebra.value} on {f} | {g}"
-                    if with_e1 and n >= 1 and not member(bracket(tag, f, E1, n), algebra):
-                        return f"{tag} order {n} with e1 leaves {algebra.value} on {f}"
+        def stays(f: QJForm, g: QJForm) -> str | None:
+            for n in range(5):
+                if not member(bracket(tag, f, g, n), algebra):
+                    return f"{tag} order {n} leaves {algebra.value}"
+                if with_e1 and n >= 1 and not member(bracket(tag, f, E1, n), algebra):
+                    return f"{tag} order {n} with e1 leaves {algebra.value}"
             return None
 
-        return run
+        return lambda: _first_failure(_samples(rng, n_pairs, 10, 10, algebra=algebra), stays)
 
     rec.check("rc_tau:preserves_JS0inf", stability_battery(Bracket.RC_TAU, Algebra.JS0INF, False))
     rec.check("rc_d:preserves_JS", stability_battery(Bracket.RC_D, Algebra.JS, False))
@@ -457,81 +461,72 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
         lambda: _expect(bracket(Bracket.TV, E2, E1, 1), Fraction(1, 4) * ((E2**2 - 5 * E4) * (-1 * WP - E2))),
     )
 
-    def tv_vanishes_on_m() -> str | None:
-        e6 = e6_form()
-        modular = (E4, e6, E4 * e6, E4**2)
-        for f in modular:
-            for g in modular:
-                for n in range(1, 4):
-                    if bracket(Bracket.TV, f, g, n) != ZERO:
-                        return f"tv order {n} nonzero on modular pair"
+    def tv_vanishes(f: QJForm, g: QJForm) -> str | None:
+        for n in range(1, 4):
+            if bracket(Bracket.TV, f, g, n) != ZERO:
+                return f"tv order {n} is nonzero"
         return None
 
-    rec.check("tv:vanishes_on_M", tv_vanishes_on_m)
+    rec.check(
+        "tv:vanishes_on_M",
+        lambda: _first_failure(product((E4, e6_form(), E4 * e6_form(), E4**2), repeat=2), tv_vanishes),
+    )
 
-    def e1_transfer() -> str | None:
+    def e1_transfer(f: QJForm, g: QJForm) -> str | None:
         # Moving a factor e1 across the transvectant slots differs by lower
         # order brackets only; the exact combination follows from star
         # associativity.
+        for n in range(1, 5):
+            lhs = bracket(Bracket.TV, f * E1, g, n) - bracket(Bracket.TV, f, g * E1, n)
+            rhs = f * bracket(Bracket.TV, E1, g, n) + (-1) ** (n - 1) * (g * bracket(Bracket.TV, E1, f, n))
+            for i in range(1, n):
+                c = comb(n, i)
+                rhs = rhs - c * bracket(Bracket.TV, bracket(Bracket.TV, f, E1, i), g, n - i)
+                rhs = rhs - c * (-1) ** (n - 1) * bracket(Bracket.TV, bracket(Bracket.TV, g, E1, i), f, n - i)
+            if lhs != rhs:
+                return f"e1-transfer identity fails at n={n}"
+        return None
+
+    rec.check(
+        "tv:e1_transfer_identity", lambda: _first_failure(_samples(rng, n_misc, 6, 6, max_terms=2), e1_transfer)
+    )
+
+    def symmetry(f: QJForm, g: QJForm) -> str | None:
+        for tag in Bracket:
+            for n in range(4):
+                if bracket(tag, f, g, n) != (-1) ** n * bracket(tag, g, f, n):
+                    return f"{tag} symmetry fails at n={n}"
+        return None
+
+    rec.check("symmetry:minus_one_n", lambda: _first_failure(_samples(rng, n_misc, 8, 8), symmetry))
+
+    def weight_pairs() -> Iterator[tuple[QJForm, QJForm]]:
+        # Both weights are drawn before either form.
         for _ in range(n_misc):
-            f = _random_form_retry(rng, 6, max_terms=2)
-            g = _random_form_retry(rng, 6, max_terms=2)
-            for n in range(1, 5):
-                lhs = bracket(Bracket.TV, f * E1, g, n) - bracket(Bracket.TV, f, g * E1, n)
-                rhs = f * bracket(Bracket.TV, E1, g, n) + (-1) ** (n - 1) * (
-                    g * bracket(Bracket.TV, E1, f, n)
-                )
-                for i in range(1, n):
-                    c = comb(n, i)
-                    rhs = rhs - c * bracket(Bracket.TV, bracket(Bracket.TV, f, E1, i), g, n - i)
-                    rhs = rhs - c * (-1) ** (n - 1) * bracket(
-                        Bracket.TV, bracket(Bracket.TV, g, E1, i), f, n - i
-                    )
-                if lhs != rhs:
-                    return f"e1-transfer identity fails at n={n} on {f} | {g}"
+            k, l = rng.randint(1, 8), rng.randint(1, 8)
+            yield random_form(rng, k), random_form(rng, l)
+
+    def weight_shifts(f: QJForm, g: QJForm) -> str | None:
+        k = f.weight() + g.weight()
+        for tag, per_n in BRACKET_WEIGHT_SHIFT.items():
+            for n in range(4):
+                h = bracket(tag, f, g, n)
+                if h and h.weight() != k + per_n * n:
+                    return f"{tag} weight shift wrong at n={n}"
         return None
 
-    rec.check("tv:e1_transfer_identity", e1_transfer)
+    rec.check("weight_shift:brackets", lambda: _first_failure(weight_pairs(), weight_shifts))
 
-    def symmetry() -> str | None:
-        for _ in range(n_misc):
-            f = _random_form_retry(rng, 8)
-            g = _random_form_retry(rng, 8)
-            for tag in Bracket:
-                for n in range(4):
-                    if bracket(tag, f, g, n) != (-1) ** n * bracket(tag, g, f, n):
-                        return f"{tag} symmetry fails at n={n}"
+    def tv_recurrence(f: QJForm, g: QJForm) -> str | None:
+        for n in range(6):
+            if transvectant_by_recurrence(f, g, n) != bracket(Bracket.TV, f, g, n):
+                return f"recurrence != formula at n={n}"
         return None
 
-    rec.check("symmetry:minus_one_n", symmetry)
-
-    def weight_shifts() -> str | None:
-        for _ in range(n_misc):
-            k = rng.randint(1, 8)
-            l = rng.randint(1, 8)
-            f = random_form(rng, k)
-            g = random_form(rng, l)
-            if f is None or g is None:
-                continue
-            for tag, per_n in BRACKET_WEIGHT_SHIFT.items():
-                for n in range(4):
-                    h = bracket(tag, f, g, n)
-                    if h and h.weight() != k + l + per_n * n:
-                        return f"{tag} weight shift wrong at n={n}"
-        return None
-
-    rec.check("weight_shift:brackets", weight_shifts)
-
-    def tv_recurrence() -> str | None:
-        for _ in range(n_rec_pairs):
-            f = _random_form_retry(rng, 6, max_terms=2)
-            g = _random_form_retry(rng, 6, max_terms=2)
-            for n in range(6):
-                if transvectant_by_recurrence(f, g, n) != bracket(Bracket.TV, f, g, n):
-                    return f"recurrence != formula at n={n} on {f} | {g}"
-        return None
-
-    rec.check("tv:recurrence_equals_formula", tv_recurrence)
+    rec.check(
+        "tv:recurrence_equals_formula",
+        lambda: _first_failure(_samples(rng, n_rec_pairs, 6, 6, max_terms=2), tv_recurrence),
+    )
     rec.check(
         "classical:rc1_e4_e6",
         lambda: _expect(
@@ -575,48 +570,35 @@ def suite_deformations(rng: random.Random, quick: bool = False) -> list[Check]:
     rec = _Recorder()
     n_triples = 4 if quick else 20
 
-    def assoc_battery(tag: Bracket) -> Callable[[], str | None]:
-        def run() -> str | None:
-            for _ in range(n_triples):
-                f = _random_form_retry(rng, 8, max_terms=2)
-                g = _random_form_retry(rng, 8, max_terms=2)
-                h = _random_form_retry(rng, 8, max_terms=2)
-                for n in range(5):
-                    if _assoc_defect(tag, f, g, h, n) != ZERO:
-                        return f"associativity fails at n={n} on {f} | {g} | {h}"
-            return None
-
-        return run
-
-    for tag in (Bracket.TV, Bracket.RC_TAU, Bracket.RC_D):
-        rec.check(f"associativity:{tag.value}", assoc_battery(tag))
-
-    def fixed_triple() -> str | None:
-        f, g, h = WP, E1, E2
-        for n in range(4):
-            if _assoc_defect(Bracket.TV, f, g, h, n) != ZERO:
-                return f"wp,e1,e2 associativity fails at n={n}"
+    def associative(tag: Bracket, orders: int, f: QJForm, g: QJForm, h: QJForm) -> str | None:
+        for n in range(orders):
+            if _assoc_defect(tag, f, g, h, n) != ZERO:
+                return f"associativity fails at n={n}"
         return None
 
-    rec.check("associativity:wp_e1_e2", fixed_triple)
+    for tag in (Bracket.TV, Bracket.RC_TAU, Bracket.RC_D):
+        law = partial(associative, tag, 5)
+        rec.check(
+            f"associativity:{tag.value}",
+            lambda law=law: _first_failure(_samples(rng, n_triples, 8, 8, 8, max_terms=2), law),
+        )
+    rec.check("associativity:wp_e1_e2", lambda: _first_failure([(WP, E1, E2)], partial(associative, Bracket.TV, 4)))
 
     @cache
     def pair() -> tuple[QJForm, QJForm]:
         return _random_form_retry(rng, 6), _random_form_retry(rng, 6)
 
-    def star_tv() -> str | None:
-        f, g = pair()
+    def star_tv(f: QJForm, g: QJForm) -> str | None:
         expected = [f * g] + [Fraction(1, factorial(n)) * bracket(Bracket.TV, f, g, n) for n in (1, 2, 3)]
         return _expect(star_truncated(Bracket.TV, f, g, 3), expected)
 
-    rec.check("star:tv_coefficients", star_tv)
+    rec.check("star:tv_coefficients", lambda: _first_failure([pair()], star_tv))
 
-    def star_rc() -> str | None:
-        f, g = pair()
+    def star_rc(f: QJForm, g: QJForm) -> str | None:
         heads = star_truncated(Bracket.RC_TAU, f, g, 2)
         return _expect([heads[0], heads[2]], [f * g, bracket(Bracket.RC_TAU, f, g, 2)])
 
-    rec.check("star:rc_coefficients", star_rc)
+    rec.check("star:rc_coefficients", lambda: _first_failure([pair()], star_rc))
     return rec.checks
 
 
@@ -730,51 +712,46 @@ def suite_oracle(rng: random.Random, quick: bool = False) -> list[Check]:
 
     # At this window expand is injective only through weight 8 (pinned in the
     # tests), so every expansion compared below has weight <= 8.
-    def homomorphism() -> str | None:
+    def add_mul_cases() -> Iterator[tuple[QJForm, QJForm, QJForm]]:
+        # f and g share a weight k, and h has weight at most 8 - k.
         for _ in range(n_random):
             k = rng.randint(1, 8)
-            f = random_form(rng, k)
-            g = random_form(rng, k)
-            rhs = series_add(expand(f, q_prec, u_max), expand(g, q_prec, u_max))
-            if not series_equal(expand(f + g, q_prec, u_max), rhs, 8):
-                return f"additivity fails on {f} | {g}"
-            h = random_form(rng, rng.randint(0, 8 - k))
-            lhs2 = expand(f * h, q_prec, u_max)
-            rhs2 = series_mul(expand(f, q_prec, u_max), expand(h, q_prec, u_max))
-            if not series_equal(lhs2, rhs2, 8):
-                return f"multiplicativity fails on {f} | {h}"
+            f, g = random_form(rng, k), random_form(rng, k)
+            yield f, g, random_form(rng, rng.randint(0, 8 - k))
+
+    def homomorphism(f: QJForm, g: QJForm, h: QJForm) -> str | None:
+        rhs = series_add(expand(f, q_prec, u_max), expand(g, q_prec, u_max))
+        if not series_equal(expand(f + g, q_prec, u_max), rhs, 8):
+            return "additivity fails"
+        lhs2 = expand(f * h, q_prec, u_max)
+        rhs2 = series_mul(expand(f, q_prec, u_max), expand(h, q_prec, u_max))
+        if not series_equal(lhs2, rhs2, 8):
+            return "multiplicativity fails"
         return None
 
-    rec.check("homomorphism:add_mul", homomorphism)
+    rec.check("homomorphism:add_mul", lambda: _first_failure(add_mul_cases(), homomorphism))
 
-    def correspondence() -> str | None:
-        for _ in range(n_random):
-            f = _random_form_retry(rng, 6)
-            lhs = expand(derive(Derivation.DZ, f), q_prec, u_max)
-            rhs = series_derive(SeriesDerivation.DU, expand(f, q_prec, u_max))
-            if not series_equal(lhs, rhs, 8):
-                return f"dz correspondence fails on {f}"
-            lhs2 = expand(derive(Derivation.DTAU, f), q_prec, u_max)
-            rhs2 = series_derive(SeriesDerivation.QDQ, expand(f, q_prec, u_max))
-            if not series_equal(lhs2, rhs2, 8):
-                return f"dtau correspondence fails on {f}"
+    def correspondence(f: QJForm) -> str | None:
+        lhs = expand(derive(Derivation.DZ, f), q_prec, u_max)
+        rhs = series_derive(SeriesDerivation.DU, expand(f, q_prec, u_max))
+        if not series_equal(lhs, rhs, 8):
+            return "dz correspondence fails"
+        lhs2 = expand(derive(Derivation.DTAU, f), q_prec, u_max)
+        rhs2 = series_derive(SeriesDerivation.QDQ, expand(f, q_prec, u_max))
+        if not series_equal(lhs2, rhs2, 8):
+            return "dtau correspondence fails"
         return None
 
-    rec.check("correspondence:dz_dtau", correspondence)
+    rec.check("correspondence:dz_dtau", lambda: _first_failure(_samples(rng, n_random, 6), correspondence))
 
-    def parity() -> str | None:
-        for _ in range(n_random):
-            k = rng.randint(1, 9)
-            f = random_form(rng, k)
-            if f is None:
-                continue
-            s = expand(f, 4, 10)
-            for (_, n), coeff in s.items():
-                if coeff and (n - k) % 2 != 0:
-                    return f"parity fails on {f}: u^{n} present at weight {k}"
+    def parity(f: QJForm) -> str | None:
+        k = f.weight()
+        for (_, n), coeff in expand(f, 4, 10).items():
+            if coeff and (n - k) % 2 != 0:
+                return f"parity fails: u^{n} present at weight {k}"
         return None
 
-    rec.check("parity:u_exponents", parity)
+    rec.check("parity:u_exponents", lambda: _first_failure(_samples(rng, n_random, 9), parity))
 
     def gunther_series() -> str | None:
         qp, um = 6, 12

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import qjforms
+from qjforms import verify
+from qjforms.calculus import Bracket, bracket
 from qjforms.cli import main
+from qjforms.parser import parse_and_evaluate
 
 
 def run(capsys, *argv):
@@ -210,6 +213,24 @@ class TestVerifyCommand:
         assert "dimensions" in suites
         assert suites["dimensions"]["failed"] == 0
         assert all(c["ok"] for c in suites["dimensions"]["checks"])
+
+    def test_failure_prints_a_reproducer(self, capsys, monkeypatch):
+        # A wrong tv weight shift fails weight_shift:brackets.  The detail names
+        # the drawn forms in parser syntax, and the rerun line repeats the draws.
+        shift = verify.BRACKET_WEIGHT_SHIFT[Bracket.TV] + 1
+        monkeypatch.setattr(verify, "BRACKET_WEIGHT_SHIFT", {**verify.BRACKET_WEIGHT_SHIFT, Bracket.TV: shift})
+        code, out, _ = run(capsys, "verify", "brackets", "--quick", "--seed", "5")
+        assert code == 1
+        prefix = "FAIL  brackets/weight_shift:brackets: Bracket.TV weight shift wrong at n="
+        fail = next(line for line in out.splitlines() if line.startswith(prefix))
+        n, forms = fail.removeprefix(prefix).split(" on ")
+        texts = forms.split(" | ")
+        f, g = map(parse_and_evaluate, texts)
+        assert [str(f), str(g)] == texts
+        assert bracket(Bracket.TV, f, g, int(n)).weight() != f.weight() + g.weight() + shift * int(n)
+        assert "suite brackets: 14 passed, 1 failed\nrerun: qjalg verify brackets --seed 5 --quick\n" in out
+        code, again, _ = run(capsys, "verify", "brackets", "--seed", "5", "--quick")
+        assert code == 1 and fail in again.splitlines()
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, payload, err = run_json(capsys, "verify", "bogus")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qjforms import DWP, E1, E2, WP, ZERO, Bracket, Derivation, QJForm, bracket, derive, q_coefficient
-from qjforms.forms import sum_of_products
+from qjforms.forms import MAX_EXPONENT, sum_of_products
 from qjforms.parser import parse_and_evaluate
 
 F = Fraction
@@ -344,6 +344,25 @@ def test_eq_and_hash_are_consistent(pair):
 def test_parse_of_str_round_trips(a):
     f = QJForm(a)
     assert parse_and_evaluate(str(f)) == f
+
+
+edge_exponents = st.integers(0, 3) | st.integers(MAX_EXPONENT - 3, MAX_EXPONENT)
+
+
+@st.composite
+def edge_forms(draw):
+    """Nonzero forms with exponents near 0 and near MAX_EXPONENT; half have no e2."""
+    e2 = edge_exponents if draw(st.booleans()) else st.just(0)
+    expos = st.tuples(edge_exponents, edge_exponents, edge_exponents, edge_exponents, e2)
+    return draw(st.dictionaries(expos, coefficients.filter(bool), min_size=1, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_forms())
+def test_depth_is_the_maxima_over_terms(a):
+    f = QJForm(a)
+    terms = f.terms()
+    assert f.depth() == (max(e[4] for e, _ in terms), max(e[3] for e, _ in terms))
 
 
 # -- exponent guard ----------------------------------------------------------

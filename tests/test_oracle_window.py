@@ -6,13 +6,26 @@ independent.  The rank is computed mod p = 2^61 - 1 by the elimination
 below; full rank mod p proves full rank over Q, since rank mod p <= rank
 over Q <= the number of monomials.  The rank is full through weight 8 and
 falls short at weight 9, so the suite's comparisons stay at weight <= 8.
+
+``eisenstein:fourier_vs_laurent`` compares up to weight 14, but only forms
+of JS, and only on the cells u <= 0 that a Fourier series has: there the
+expansion is injective on JS_k for every even k up to 14.
 """
 
 import random
 
 import pytest
 
-from qjforms import QJForm, expand, monomials_of_weight, verify
+from qjforms import (
+    Algebra,
+    EisensteinMethod,
+    QJForm,
+    eisenstein_in_generators,
+    expand,
+    member,
+    monomials_of_weight,
+    verify,
+)
 
 P = 2**61 - 1
 Q_PREC, U_MAX = 8, 16
@@ -41,18 +54,31 @@ def rank_mod_p(vectors) -> int:
     return len(pivots)
 
 
-def expansion_rank(k: int) -> int:
+def expansion_rank(monomials, keep=lambda cell: True) -> int:
+    # The rank of the monomials' expansions, restricted to the (q, u) cells kept.
     vectors = []
-    for m in monomials_of_weight(k):
+    for m in monomials:
         s = expand(QJForm.monomial(m), Q_PREC, U_MAX)
-        vectors.append({cell: c.numerator * pow(c.denominator, -1, P) % P for cell, c in s.items()})
+        vectors.append({cell: c.numerator * pow(c.denominator, -1, P) % P for cell, c in s.items() if keep(cell)})
     return rank_mod_p(vectors)
 
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_expansion_rank(k):
     count = len(monomials_of_weight(k))
-    assert (expansion_rank(k), count) == ((35, 39) if k == 9 else (count, count))
+    assert (expansion_rank(monomials_of_weight(k)), count) == ((35, 39) if k == 9 else (count, count))
+
+
+@pytest.mark.parametrize("k, dim", [(4, 2), (6, 3), (8, 4), (10, 5), (12, 7), (14, 8)])
+def test_fourier_cells_are_injective_on_js(k, dim):
+    monos = monomials_of_weight(k, Algebra.JS)
+    assert (expansion_rank(monos, lambda cell: cell[1] <= 0), len(monos)) == (dim, dim)
+
+
+@pytest.mark.parametrize("method", list(EisensteinMethod))
+def test_eisenstein_reductions_lie_in_js(method):
+    for two_n in range(4, 16, 2):
+        assert member(eisenstein_in_generators(two_n, method), Algebra.JS), two_n
 
 
 def test_oracle_compares_inside_the_window(monkeypatch):
