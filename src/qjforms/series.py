@@ -177,32 +177,32 @@ def series_add(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
 def series_mul(a: BigradedSeries, b: BigradedSeries) -> BigradedSeries:
     """Exact truncated product with conservative window arithmetic.
 
-    Only pairs that land inside the product window are visited: b is grouped
-    into q-rows sorted by u, and each term of a walks the rows below
-    ``q_prec - m1`` and stops in each row past ``u_max - n1``.
+    A row-wise convolution of q-rows of (u-offset, numerator), cut at q_prec
+    and at the window top, into one list per output row as long as it reaches.
     """
     q_prec = min(a.q_prec, b.q_prec)
     u_val = a.u_val + b.u_val
-    u_max = min(a.u_val + b.u_max, b.u_val + a.u_max)
-    if u_val > u_max:
+    top = min(a.u_max - a.u_val, b.u_max - b.u_val)  # the largest offset of the window
+    if top < 0:
         raise PrecisionError("product has an empty u-window")
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for (m2, n2), c2 in sorted(b._coeffs.items()):
-        if m2 < q_prec:
-            rows.setdefault(m2, []).append((n2, c2))
-    out: dict[tuple[int, int], int] = {}
-    for (m1, n1), c1 in a._coeffs.items():
-        top = u_max - n1
-        for m2, row in rows.items():
-            if m2 >= q_prec - m1:
+    rows: tuple[dict[int, list[tuple[int, int]]], ...] = ({}, {})
+    for s, grouped in zip((a, b), rows):
+        for (m, n), c in sorted(s._coeffs.items()):
+            grouped.setdefault(m, []).append((n - s.u_val, c))
+    out_rows: dict[int, list[int]] = {}
+    for m1, row1 in rows[0].items():
+        for m2, row2 in rows[1].items():
+            if m1 + m2 >= q_prec:
                 break
-            m = m1 + m2
-            for n2, c2 in row:
-                if n2 > top:
-                    break
-                key = (m, n1 + n2)
-                out[key] = out.get(key, 0) + c1 * c2
-    return BigradedSeries._raw(a.weight + b.weight, q_prec, u_val, u_max, *_canonical(out, a._denom * b._denom))
+            acc = out_rows.setdefault(m1 + m2, [])
+            acc += [0] * (min(top, row1[-1][0] + row2[-1][0]) + 1 - len(acc))
+            for i1, c1 in row1:
+                for i2, c2 in row2:
+                    if i1 + i2 > top:
+                        break
+                    acc[i1 + i2] += c1 * c2
+    out = {(m, u_val + i): c for m, acc in out_rows.items() for i, c in enumerate(acc) if c}
+    return BigradedSeries._raw(a.weight + b.weight, q_prec, u_val, u_val + top, *_canonical(out, a._denom * b._denom))
 
 
 def series_derive(which: SeriesDerivation, a: BigradedSeries) -> BigradedSeries:

@@ -754,7 +754,8 @@ def suite_oracle(rng: random.Random, quick: bool = False) -> list[Check]:
     rec.check("parity:u_exponents", lambda: _first_failure(_samples(rng, n_random, 9), parity))
 
     def gunther_series() -> str | None:
-        qp, um = 6, 12
+        # Both sides lie in Minf_{2n+4}, whose expansions have full rank from q_prec 8 on.
+        qp, um = 8, 12
         ee = {j: expand(eisenstein_in_generators(j), qp, um) for j in range(4, 16, 2)}
         ee2 = expand(E2, qp, um)
         for n in range(1, 6):
