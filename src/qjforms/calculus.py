@@ -33,6 +33,7 @@ from .forms import (
     WP,
     ZERO,
     Exponents,
+    Generator,
     QJForm,
     e6_form,
     image_table,
@@ -99,7 +100,9 @@ _TABLES = {
 # Entries of the derive memo.  Forms are immutable and hash once, so every
 # derivative tower, transvectant slot, recurrence step and verify battery
 # shares the derivatives it repeats; a few hundred entries cover the reuse
-# of one bracket chain, and a larger memo only raises peak memory.
+# of one bracket chain, and a larger memo only raises peak memory.  Below
+# the memo, each table keeps up to forms.DERIVATIVE_ROWS_SIZE derivative
+# rows, one per monomial met.
 DERIVE_CACHE_SIZE = 128
 
 
@@ -176,7 +179,12 @@ def transvectant_by_recurrence(f: QJForm, g: QJForm, n: int) -> QJForm:
             memo[key] = hit
         return hit
 
-    return rec(f, g, n)
+    # rec refers to itself through its closure, a cycle that only the cyclic
+    # collector frees; emptied here, the memo's forms go with the call.
+    try:
+        return rec(f, g, n)
+    finally:
+        memo.clear()
 
 
 def star_truncated(tag: Bracket, f: QJForm, g: QJForm, order: int) -> list[QJForm]:
@@ -257,10 +265,9 @@ def member(f: QJForm, algebra: Algebra) -> bool:
         allow_e, allow_d, dz_constant = _MEMBERSHIP[algebra]
     except KeyError:
         raise ValueError(f"unknown algebra {algebra!r}") from None
-    if f and not (allow_e and allow_d):
-        s1, s2 = f.depth()
-        if (s1 and not allow_e) or (s2 and not allow_d):
-            return False
+    excluded = [g for g, allowed in ((Generator.EE2, allow_e), (Generator.EE1, allow_d)) if not allowed]
+    if f.uses(*excluded):
+        return False
     # dz by its table, not through the derive memo that bracket towers share.
     return not (dz_constant and leibniz(_TABLES[Derivation.DZ], f))
 

@@ -69,6 +69,10 @@ class Generator(Enum):
         return GENERATOR_NAMES[self.value]
 
 
+# The key bits of each generator's exponent field.
+_GENERATOR_FIELDS = {g: _FIELD_MASK << _SHIFTS[g.value] for g in Generator}
+
+
 class DepthProfile(NamedTuple):
     """Bidegree (s1, s2): e2-degree (modular) and e1-degree (elliptic)."""
 
@@ -100,10 +104,15 @@ def _key_weight(key: int) -> int:
     return weight_of_exponents(_unpack(key))
 
 
+def _support(num: dict[int, int]) -> int:
+    # The OR of the keys: a field is nonzero exactly when some key's is.
+    return reduce(or_, num, 0)
+
+
 def _check_guard(num: dict[int, int]) -> dict[int, int]:
     # Operand exponents are at most MAX_EXPONENT, so a sum of two fits in
     # its field and sets the guard bit exactly when it overflows.
-    if reduce(or_, num, 0) & _GUARD:
+    if _support(num) & _GUARD:
         raise ValueError(f"exponent above {MAX_EXPONENT} in a product")
     return num
 
@@ -183,6 +192,11 @@ class QJForm:
         s2 = max(k >> _E1_SHIFT & _FIELD_MASK for k in self._num)
         return DepthProfile(max(self._num) >> _E2_SHIFT, s2)
 
+    def uses(self, *generators: Generator) -> bool:
+        """Whether some term has a positive exponent of one of the generators (never for zero)."""
+        mask = sum(map(_GENERATOR_FIELDS.__getitem__, generators))
+        return bool(mask and _support(self._num) & mask)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -230,8 +244,8 @@ class QJForm:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return ZERO
-            r = Fraction(other)
-            return _make({k: n * r.numerator for k, n in self._num.items()}, self._den * r.denominator)
+            p, q = other.as_integer_ratio()
+            return _make({k: n * p for k, n in self._num.items()}, self._den * q)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -292,15 +306,16 @@ class QJForm:
 def _make(num: dict[int, int], den: int) -> QJForm:
     """Canonical form of the numerators over den > 0: no zero numerator, gcd 1.
 
-    The callee owns num, a dict its caller has just built, and divides it in
-    place.  Zero numerators leave the gcd unchanged, so one gcd serves both
-    rules (only zeros give den itself, so zero comes out over 1), and num is
-    copied only to drop zeros.
+    The callee owns num, a dict its caller has just built: it deletes the
+    zero numerators from it and divides the rest in place.  Zero numerators
+    leave the gcd unchanged, so one gcd serves both rules (only zeros give
+    den itself, so zero comes out over 1).
     """
     g = gcd(den, *num.values()) if den != 1 else 1
     if 0 in num.values():
-        num = {k: n // g for k, n in num.items() if n}
-    elif g != 1:
+        for k in [k for k, n in num.items() if not n]:
+            del num[k]
+    if g != 1:
         for k, n in num.items():
             num[k] = n // g
     return QJForm._raw(num, den // g)
@@ -371,38 +386,86 @@ def iter_terms(f: QJForm) -> Iterator[tuple[Exponents, Fraction]]:
         yield _unpack(key), Fraction(n, den)
 
 
-# A generator-image table for the Leibniz kernel: one common denominator,
-# and per generator with a nonzero image (field shift, unit key, image
-# numerators as (key, numerator) pairs over that denominator).
-ImageTable = tuple[int, tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]
+# Derivative rows one ImageTable memoises before it empties its memo.  The
+# largest working set measured is about 4,000 rows of the dtau table in
+# ``qjalg verify all`` (the five tables together about 9,200, and 1,900 on
+# the bench ``brackets`` workload); a row costs about 300 bytes.
+DERIVATIVE_ROWS_SIZE = 8192
+
+
+class ImageTable:
+    """The generator images of one derivation, packed by :func:`image_table` for :func:`leibniz`.
+
+    ``rows`` memoises the derivative row of each monomial met so far: its
+    whole derivative as merged (key offset, multiplier) pairs over ``den``,
+    stored as one offset tuple, shared between the rows that have the same
+    offsets, and one multiplier tuple.  It holds at most
+    :data:`DERIVATIVE_ROWS_SIZE` rows and is emptied when full.
+    """
+
+    __slots__ = ("den", "images", "rows", "_offsets")
+
+    def __init__(self, den: int, images: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]):
+        self.den = den
+        self.images = images
+        self.rows: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def row(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Build and memoise the derivative row of the monomial ``key`` (on a miss in ``rows``)."""
+        merged: dict[int, int] = {}
+        get = merged.get
+        for shift, image in self.images:
+            p = key >> shift & _FIELD_MASK
+            if p:
+                for o, iv in image:
+                    merged[o] = get(o, 0) + p * iv
+        if 0 in merged.values():
+            merged = {o: m for o, m in merged.items() if m}
+        offsets = tuple(merged)
+        if len(self.rows) >= DERIVATIVE_ROWS_SIZE:
+            self.rows.clear()
+            self._offsets.clear()
+        row = self._offsets.setdefault(offsets, offsets), tuple(merged.values())
+        self.rows[key] = row
+        return row
 
 
 def image_table(images: Sequence[QJForm]) -> ImageTable:
-    """Pack the images of wp, dwp, e4, e1, e2 for :func:`leibniz`."""
+    """Pack the images of wp, dwp, e4, e1, e2 for :func:`leibniz`.
+
+    The table keeps one common denominator and, per generator with a nonzero
+    image, (field shift, image numerators over that denominator as (key
+    offset, numerator) pairs).  A key offset is an image key minus the
+    generator's unit key: added to a monomial with a positive exponent of
+    that generator, it borrows from no field.  The row memo starts empty.
+    """
     den = lcm(*(img._den for img in images))
-    rows = tuple(
-        (shift, unit, tuple((k, n * (den // img._den)) for k, n in img._num.items()))
+    packed = tuple(
+        (shift, tuple((k - unit, n * (den // img._den)) for k, n in img._num.items()))
         for shift, unit, img in zip(_SHIFTS, _UNITS, images)
         if img
     )
-    return den, rows
+    return ImageTable(den, packed)
 
 
 def leibniz(table: ImageTable, f: QJForm) -> QJForm:
-    """The derivation with the given generator images, extended to f by the Leibniz rule."""
-    den, rows = table
+    """The derivation with the given generator images, extended to f by the Leibniz rule.
+
+    Each term adds its monomial's derivative row (:meth:`ImageTable.row`),
+    scaled by its numerator, so a monomial seen before costs one lookup and
+    one accumulation per distinct output monomial, whichever generators
+    reach it.
+    """
+    rows = table.rows
     out: dict[int, int] = {}
     get = out.get
     for key, c in f._num.items():
-        for shift, unit, image in rows:
-            p = key >> shift & _FIELD_MASK
-            if p:
-                base = key - unit
-                scaled = c * p
-                for ik, iv in image:
-                    k = base + ik
-                    out[k] = get(k, 0) + scaled * iv
-    return _make(_check_guard(out), f._den * den)
+        offsets, mults = rows.get(key) or table.row(key)
+        for o, m in zip(offsets, mults):
+            k = key + o
+            out[k] = get(k, 0) + c * m
+    return _make(_check_guard(out), f._den * table.den)
 
 
 ZERO = QJForm._raw({})

@@ -1,5 +1,6 @@
 """Derivations, brackets, transvectants, deformations, stability."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from qjforms import (
     Algebra,
     Bracket,
     Derivation,
+    QJForm,
     StabilityReport,
     bracket,
     check_stability,
@@ -302,6 +304,22 @@ class TestTransvectantRecurrence:
             g = _random_form_retry(rng, 6, max_terms=2)
             for n in range(6):
                 assert transvectant_by_recurrence(f, g, n) == bracket(Bracket.TV, f, g, n)
+
+    def test_memo_leaves_no_forms_for_the_cyclic_collector(self):
+        # Whatever the call leaves unreachable must hold no form: the memo's
+        # forms are freed when the call returns, not at the next collection.
+        f, g = WP * E1 + E4, DWP + E2 * E1
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert transvectant_by_recurrence(f, g, 4) == bracket(Bracket.TV, f, g, 4)
+            gc.collect()
+            assert not any(isinstance(obj, QJForm) for obj in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
 
 
 class TestStarTruncated:

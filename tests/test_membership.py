@@ -11,7 +11,9 @@ from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
 
-from qjforms import E2, E4, ONE, WP, ZERO, Algebra, Derivation, QJForm, derive, e6_form, member, monomials_of_weight
+from qjforms import (
+    E2, E4, ONE, WP, ZERO, Algebra, Derivation, Generator, QJForm, derive, e6_form, member, monomials_of_weight
+)
 
 E6 = e6_form()
 
@@ -153,3 +155,38 @@ def test_dz_kernel_dimension():
         rank = len(_echelon(derive(Derivation.DZ, QJForm.monomial(m)) for m in monos))
         expected = sum(1 for j in range(k // 6 + 1) if (k - 6 * j) % 4 == 0)
         assert len(monos) - rank == expected, k
+
+
+# Per algebra, restated: may its forms use e2, may they use e1, must they be dz-constants.
+SUPPORT_RULES = {
+    Algebra.M: (False, False, True),
+    Algebra.MINF: (True, False, True),
+    Algebra.JS: (False, False, False),
+    Algebra.JS0INF: (False, True, False),
+    Algebra.JSINF0: (True, False, False),
+    Algebra.JSINF: (True, True, False),
+}
+# ANY_FORM has no form that uses e1 but not e2.
+E1_FORMS = st.dictionaries(st.tuples(*(st.integers(0, cap) for cap in (3, 3, 3, 3, 0))), COEFFS, max_size=6).map(QJForm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_FORM | E1_FORMS)
+def test_presence_test_agrees_with_depth(f):
+    # uses() is one OR over the packed keys; depth() takes maxima.  member
+    # reads the support through uses(), so it must decide as the depth says.
+    s1, s2 = f.depth() if f else (0, 0)
+    assert f.uses(Generator.EE2) is (s1 > 0)
+    assert f.uses(Generator.EE1) is (s2 > 0)
+    assert f.uses(Generator.EE2, Generator.EE1) is (s1 > 0 or s2 > 0)
+    for g in Generator:
+        assert f.uses(g) is any(expos[g.value] for expos, _ in f.terms())
+    assert f.uses() is False
+    for algebra, (allow_e, allow_d, dz_constant) in SUPPORT_RULES.items():
+        by_depth = (allow_e or not s1) and (allow_d or not s2) and not (dz_constant and derive(Derivation.DZ, f))
+        assert member(f, algebra) is by_depth, (algebra, str(f))
+
+
+def test_zero_form_uses_nothing_and_lies_in_every_algebra():
+    assert not any(ZERO.uses(g) for g in Generator)
+    assert all(member(ZERO, algebra) for algebra in Algebra)
