@@ -64,7 +64,6 @@ _EXPORTS = {
             "PrecisionError",
             "SeriesDerivation",
             "eisenstein_qseries",
-            "eval_numeric",
             "expand",
             "series_add",
             "series_derive",

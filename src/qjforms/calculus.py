@@ -65,6 +65,9 @@ DERIVATION_WEIGHT_SHIFT = {
     Derivation.DELTA: 0,
 }
 BRACKET_WEIGHT_SHIFT = {Bracket.RC_TAU: 2, Bracket.RC_D: 2, Bracket.TV: 3}
+BRACKET_DERIVATIONS = {
+    Bracket.RC_TAU: (Derivation.DTAU,), Bracket.RC_D: (Derivation.DJAC,), Bracket.TV: (Derivation.DTAU, Derivation.DZ)
+}
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -118,42 +121,63 @@ def derive(tag: Derivation, f: QJForm) -> QJForm:
     return leibniz(table, f)
 
 
-def _tower(d: Derivation, f: QJForm, n: int) -> list[QJForm]:
-    out = [f]
-    for _ in range(n):
-        out.append(derive(d, out[-1]))
+def bracket_terms(tag: Bracket, k: int, l: int, n: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """The n-th bracket of forms of weights k and l as (c, a, b) triples.
+
+    The bracket of f and g is the sum of c * D^a f * D^b g, where D^a applies
+    the derivations ``BRACKET_DERIVATIONS[tag]`` with the powers a.  This is
+    the one statement of the bracket coefficients in the package; each c is a
+    polynomial of degree at most n in k and in l.  Orders n >= 1 only.
+    """
+    if tag is Bracket.TV:
+        return [((-1) ** r * comb(n, r), (n - r, r), (r, n - r)) for r in range(n + 1)]
+    return [((-1) ** r * comb(k + n - 1, n - r) * comb(l + n - 1, r), (r,), (n - r,)) for r in range(n + 1)]
+
+
+def _derivatives(derivations: tuple[Derivation, ...], form: QJForm, n: int) -> dict[tuple[int, ...], QJForm]:
+    # D^a form by a, for every power tuple a of total at most n; the last
+    # derivation is applied first, and each derivative is built once.
+    out = {(): form}
+    for derivation in reversed(derivations):
+        grown = {}
+        for key, lower in out.items():
+            grown[(0, *key)] = lower
+            for p in range(1, n - sum(key) + 1):
+                lower = grown[(p, *key)] = derive(derivation, lower)
+        out = grown
     return out
-
-
-def _tv_slots(f: QJForm, n: int) -> list[QJForm]:
-    # slots[r] = dtau^(n-r) dz^r f
-    return [_tower(Derivation.DTAU, v, n - r)[-1] for r, v in enumerate(_tower(Derivation.DZ, f, n))]
 
 
 def bracket(tag: Bracket, f: QJForm, g: QJForm, n: int) -> QJForm:
     """The n-th Rankin-Cohen bracket (tau or d flavour) or transvectant.
 
-    The Rankin-Cohen brackets read the weights of both arguments, so mixed
-    inputs are decomposed into weight components first; the transvectant
-    formula is weight-free and applies directly.
+    The coefficients read the weights of both arguments, so mixed inputs are
+    decomposed into weight components first.  The powers in the terms of
+    :func:`bracket_terms` total at most n, and each derivative of that order
+    is built once per component.
     """
     if n < 0:
         raise ValueError("bracket order must be nonnegative")
     if n == 0:
         return f * g
-    if tag is Bracket.TV:
-        fslots = _tv_slots(f, n)
-        gslots = _tv_slots(g, n)
-        return sum_of_products(((-1) ** r * comb(n, r), fslots[r], gslots[n - r]) for r in range(n + 1))
-    d = Derivation.DTAU if tag is Bracket.RC_TAU else Derivation.DJAC
-    fcomps = [(k, _tower(d, comp, n)) for k, comp in f.weight_components()]
-    gcomps = [(l, _tower(d, comp, n)) for l, comp in g.weight_components()]
+    derivations = BRACKET_DERIVATIONS[tag]
+    fcomps = [(k, _derivatives(derivations, comp, n)) for k, comp in f.weight_components()]
+    gcomps = [(l, _derivatives(derivations, comp, n)) for l, comp in g.weight_components()]
     return sum_of_products(
-        ((-1) ** r * comb(k + n - 1, n - r) * comb(l + n - 1, r), ftower[r], gtower[n - r])
-        for k, ftower in fcomps
-        for l, gtower in gcomps
-        for r in range(n + 1)
+        (c, fd[a], gd[b]) for k, fd in fcomps for l, gd in gcomps for c, a, b in bracket_terms(tag, k, l, n)
     )
+
+
+def _recurrence(a: QJForm, b: QJForm, m: int, memo: dict[tuple[QJForm, QJForm, int], QJForm]) -> QJForm:
+    if m == 0:
+        return a * b
+    key = (a, b, m)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _recurrence(derive(Derivation.DTAU, a), derive(Derivation.DZ, b), m - 1, memo) - _recurrence(
+            derive(Derivation.DZ, a), derive(Derivation.DTAU, b), m - 1, memo
+        )
+    return hit
 
 
 def transvectant_by_recurrence(f: QJForm, g: QJForm, n: int) -> QJForm:
@@ -165,26 +189,7 @@ def transvectant_by_recurrence(f: QJForm, g: QJForm, n: int) -> QJForm:
     """
     if n < 0:
         raise ValueError("bracket order must be nonnegative")
-    memo: dict[tuple[QJForm, QJForm, int], QJForm] = {}
-
-    def rec(a: QJForm, b: QJForm, m: int) -> QJForm:
-        if m == 0:
-            return a * b
-        key = (a, b, m)
-        hit = memo.get(key)
-        if hit is None:
-            hit = rec(derive(Derivation.DTAU, a), derive(Derivation.DZ, b), m - 1) - rec(
-                derive(Derivation.DZ, a), derive(Derivation.DTAU, b), m - 1
-            )
-            memo[key] = hit
-        return hit
-
-    # rec refers to itself through its closure, a cycle that only the cyclic
-    # collector frees; emptied here, the memo's forms go with the call.
-    try:
-        return rec(f, g, n)
-    finally:
-        memo.clear()
+    return _recurrence(f, g, n, {})
 
 
 def star_truncated(tag: Bracket, f: QJForm, g: QJForm, order: int) -> list[QJForm]:

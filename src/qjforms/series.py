@@ -20,7 +20,6 @@ never silently compare as equal.
 
 from __future__ import annotations
 
-import cmath
 import math
 from enum import Enum
 from fractions import Fraction
@@ -355,33 +354,3 @@ def expand(f: QJForm, q_prec: int = DEFAULT_QPREC, u_max: int = DEFAULT_UMAX) ->
             out[key] = out.get(key, 0) + mult * c
     weight = terms[0][1].weight if terms else 0
     return BigradedSeries._raw(weight, q_prec, u_val, u_max, *_canonical(out, den))
-
-
-def eval_numeric(
-    f: QJForm,
-    tau: complex,
-    z: complex,
-    q_prec: int = DEFAULT_QPREC,
-    u_max: int = DEFAULT_UMAX,
-) -> complex:
-    """Approximate value from the truncated expansion; convenience only.
-
-    The truncation error is unbounded in general; the domain restriction
-    Im(tau) > 0, 0 < |z| < min(1, |tau|)/2 is deliberately crude.
-    """
-    tau = complex(tau)
-    z = complex(z)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
-    if not 0 < abs(z) < min(1.0, abs(tau)) / 2:
-        raise ValueError("z must satisfy 0 < |z| < min(1, |tau|)/2")
-    q = cmath.exp(2j * cmath.pi * tau)
-    u = cmath.pi * z
-    total = 0j
-    for k, comp in f.weight_components():
-        s = expand(comp, q_prec, u_max)
-        acc = 0j
-        for (m, n), c in s.items():
-            acc += float(c) * q**m * u**n
-        total += cmath.pi**k * acc
-    return total

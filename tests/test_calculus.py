@@ -11,6 +11,7 @@ from qjforms import (
     E1,
     E2,
     E4,
+    ONE,
     WP,
     ZERO,
     Algebra,
@@ -26,6 +27,7 @@ from qjforms import (
     star_truncated,
     transvectant_by_recurrence,
 )
+from qjforms import calculus
 from qjforms.arith import binomial
 from qjforms.verify import random_form, _random_form_retry
 
@@ -218,6 +220,30 @@ class TestBrackets:
         for tag in Bracket:
             for n in range(3):
                 assert bracket(tag, f1 + f2, g, n) == bracket(tag, f1, g, n) + bracket(tag, f2, g, n)
+
+    def test_each_argument_shares_its_derivatives(self, monkeypatch):
+        # The one bracket path still builds every derivative once per weight
+        # component: the tv slots dtau^(n-r) dz^r take the n dz steps and
+        # n(n+1)/2 dtau steps of the towers, and an rc or rcd tower n steps.
+        calls = []
+
+        def counted(tag, f):
+            calls.append(tag)
+            return derive(tag, f)
+
+        monkeypatch.setattr(calculus, "derive", counted)
+        rng = random.Random(34)
+        for n in range(1, 6):
+            f, g = _random_form_retry(rng, 8), _random_form_retry(rng, 8)
+            calls.clear()
+            bracket(Bracket.TV, f, g, n)
+            assert len(calls) <= 2 * (n + n * (n + 1) // 2)
+            f, g = f + _random_form_retry(rng, 8) + ONE, g + _random_form_retry(rng, 8)
+            parts = len(f.weight_components()) + len(g.weight_components())
+            for tag in (Bracket.RC_TAU, Bracket.RC_D):
+                calls.clear()
+                bracket(tag, f, g, n)
+                assert len(calls) <= n * parts
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):

@@ -215,19 +215,24 @@ class TestVerifyCommand:
         assert all(c["ok"] for c in suites["dimensions"]["checks"])
 
     def test_failure_prints_a_reproducer(self, capsys, monkeypatch):
-        # A wrong tv weight shift fails weight_shift:brackets.  The detail names
-        # the drawn forms in parser syntax, and the rerun line repeats the draws.
-        shift = verify.BRACKET_WEIGHT_SHIFT[Bracket.TV] + 1
-        monkeypatch.setattr(verify, "BRACKET_WEIGHT_SHIFT", {**verify.BRACKET_WEIGHT_SHIFT, Bracket.TV: shift})
+        # A recurrence that swaps its arguments from order 3 on fails
+        # tv:recurrence_equals_formula on a drawn pair.  The detail names the
+        # drawn forms in parser syntax, and the rerun line repeats the draws.
+        recurrence = verify.transvectant_by_recurrence
+
+        def swapped(f, g, n):
+            return recurrence(f, g, n) if n < 3 else recurrence(g, f, n)
+
+        monkeypatch.setattr(verify, "transvectant_by_recurrence", swapped)
         code, out, _ = run(capsys, "verify", "brackets", "--quick", "--seed", "5")
         assert code == 1
-        prefix = "FAIL  brackets/weight_shift:brackets: Bracket.TV weight shift wrong at n="
+        prefix = "FAIL  brackets/tv:recurrence_equals_formula: recurrence != formula at n="
         fail = next(line for line in out.splitlines() if line.startswith(prefix))
         n, forms = fail.removeprefix(prefix).split(" on ")
         texts = forms.split(" | ")
         f, g = map(parse_and_evaluate, texts)
         assert [str(f), str(g)] == texts
-        assert bracket(Bracket.TV, f, g, int(n)).weight() != f.weight() + g.weight() + shift * int(n)
+        assert swapped(f, g, int(n)) != bracket(Bracket.TV, f, g, int(n))
         assert "suite brackets: 14 passed, 1 failed\nrerun: qjalg verify brackets --seed 5 --quick\n" in out
         code, again, _ = run(capsys, "verify", "brackets", "--seed", "5", "--quick")
         assert code == 1 and fail in again.splitlines()

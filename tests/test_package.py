@@ -21,7 +21,7 @@ EXPORTS = {
     "FAMILY_WEIGHTS", "Generator", "InconsistencyError", "ONE", "PrecisionError", "QJForm",
     "ScaledJForm", "SeriesDerivation", "StabilityReport", "WP", "ZERO", "alcuin", "bernoulli",
     "binomial", "bracket", "check_stability", "derive", "dim_brute", "dim_closed", "e6_form",
-    "eisenstein_in_generators", "eisenstein_qseries", "eval_numeric", "expand", "member",
+    "eisenstein_in_generators", "eisenstein_qseries", "expand", "member",
     "modular_dim", "monomials_of_weight", "nearest_int", "q_coefficient", "series_add",
     "series_coefficients", "series_derive", "series_equal", "series_mul", "series_scale", "sigma",
     "star_truncated", "transvectant_by_recurrence",
@@ -38,9 +38,9 @@ class TestSurface:
         namespace: dict = {}
         exec("from qjforms import *", namespace)
         del namespace["__builtins__"]
-        assert len(EXPORTS) == 52
+        assert len(EXPORTS) == 51
         assert set(namespace) == set(qjforms.__all__) == EXPORTS
-        assert len(qjforms.__all__) == 52
+        assert len(qjforms.__all__) == 51
 
     def test_names_are_the_submodule_objects(self):
         for name in EXPORTS:
@@ -81,6 +81,27 @@ class TestPrivateFields:
                     continue
                 if owner != path.name:
                     offences.append(f"{path.name}:{node.lineno} .{node.attr}")
+        assert offences == []
+
+
+class TestExactness:
+    # Results are exact with tolerance zero: no module computes in floating
+    # point, so none writes a float or complex literal, names float or
+    # complex, or imports cmath.
+    def test_no_floating_point_in_src(self):
+        sources = sorted(Path(SRC, "qjforms").glob("*.py"))
+        assert {"forms.py", "series.py", "calculus.py", "verify.py"} <= {p.name for p in sources}
+        offences = []
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                    offences.append(f"{path.name}:{node.lineno} literal {node.value!r}")
+                elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+                    offences.append(f"{path.name}:{node.lineno} name {node.id}")
+                elif isinstance(node, ast.Import) and any(a.name == "cmath" for a in node.names):
+                    offences.append(f"{path.name}:{node.lineno} import cmath")
+                elif isinstance(node, ast.ImportFrom) and node.module == "cmath":
+                    offences.append(f"{path.name}:{node.lineno} from cmath")
         assert offences == []
 
 

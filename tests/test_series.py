@@ -1,4 +1,4 @@
-"""The bigraded series oracle: expansions, windows, derivations, numerics."""
+"""The bigraded series oracle: expansions, windows, derivations."""
 
 import random
 from fractions import Fraction
@@ -21,7 +21,6 @@ from qjforms import (
     e6_form,
     eisenstein_in_generators,
     eisenstein_qseries,
-    eval_numeric,
     expand,
     series_add,
     series_derive,
@@ -268,32 +267,3 @@ class TestGuntherSeries:
                     series_scale((2 * a + 1) * (a - 2 * b - 1), series_mul(es[2 * a + 2], es[2 * b + 2])),
                 )
             assert series_equal(lhs, rhs, 8)
-
-
-class TestEvalNumeric:
-    TAU = 2j
-    Z = 0.1 + 0.05j
-
-    def test_identity_residual(self):
-        residual = (
-            eval_numeric(DWP**2, self.TAU, self.Z, 12, 16)
-            - 4 * eval_numeric(WP**3, self.TAU, self.Z, 12, 16)
-            + 60 * eval_numeric(E4 * WP, self.TAU, self.Z, 12, 16)
-            + 140 * eval_numeric(E6, self.TAU, self.Z, 12, 16)
-        )
-        assert abs(residual) < 1e-6
-
-    def test_constant(self):
-        assert abs(eval_numeric(ONE, self.TAU, self.Z, 4, 4) - 1) < 1e-12
-
-    def test_wp_leading_behaviour(self):
-        z = 0.01 + 0.005j
-        assert abs(eval_numeric(WP, self.TAU, z, 12, 16) * z**2 - 1) < 1e-4
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            eval_numeric(WP, -2j, self.Z)
-        with pytest.raises(ValueError):
-            eval_numeric(WP, self.TAU, 0.0)
-        with pytest.raises(ValueError):
-            eval_numeric(WP, self.TAU, 0.9)

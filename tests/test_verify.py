@@ -2,11 +2,12 @@
 
 import json
 import random
+from math import comb
 
 import pytest
 
 from qjforms import calculus, verify
-from qjforms.calculus import Derivation, derive
+from qjforms.calculus import Bracket, Derivation, derive
 from qjforms.cli import main
 from qjforms.forms import DWP, E1, E2, E4, WP, image_table
 
@@ -125,3 +126,52 @@ def test_decided_check_names_the_perturbed_generator(name, tag, index, term, det
         derive.cache_clear()
     assert not checks[name].ok
     assert checks[name].detail == detail
+
+
+# Mutants of the bracket coefficient table, each with the decided check that
+# must name it and a fixed value that bracket, reading the same table, loses.
+def rc_binomial_shifted(terms):
+    def mutant(tag, k, l, n):
+        if tag is Bracket.TV:
+            return terms(tag, k, l, n)
+        return [((-1) ** r * comb(k + n, n - r) * comb(l + n - 1, r), (r,), (n - r,)) for r in range(n + 1)]
+
+    return mutant
+
+
+def tv_f_powers_moved(terms):
+    def mutant(tag, k, l, n):
+        out = terms(tag, k, l, n)
+        if tag is Bracket.TV:
+            (c, (a, b), g_powers), *rest = out
+            out = [(c, (a - 1, b + 1), g_powers), *rest]
+        return out
+
+    return mutant
+
+
+TABLE_MUTANTS = [
+    (
+        rc_binomial_shifted,
+        "symmetry:minus_one_n",
+        "Bracket.RC_TAU symmetry fails at n=1, weights (0, 0)",
+        "value:rcd_e4_wp_in_JS",
+    ),
+    (
+        tv_f_powers_moved,
+        "weight_shift:brackets",
+        "Bracket.TV weight shift wrong at n=1, weights (0, 0)",
+        "value:tv_e2_e1",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, name, detail, value", TABLE_MUTANTS, ids=["rc_binomial", "tv_powers"])
+def test_decided_bracket_check_names_the_mutated_table(monkeypatch, mutate, name, detail, value):
+    mutant = mutate(calculus.bracket_terms)
+    monkeypatch.setattr(calculus, "bracket_terms", mutant)
+    monkeypatch.setattr(verify, "bracket_terms", mutant)
+    checks = {c.name: c for c in verify.suite_brackets(random.Random(0), True)}
+    assert not checks[name].ok
+    assert checks[name].detail == detail
+    assert not checks[value].ok
