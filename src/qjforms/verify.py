@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import product
 from math import comb, factorial
+from operator import add, mul
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
@@ -387,8 +388,58 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
 
 
 # ---------------------------------------------------------------------------
-# brackets: stability theorems, witnesses, recurrence, classical restriction
+# brackets: laws decided on symbols, stability theorems, witnesses, recurrence
 # ---------------------------------------------------------------------------
+
+# Decided laws.  A bracket is a bidifferential operator in the commuting
+# derivations BRACKET_DERIVATIONS[tag] (commutation:dz_dtau), so a law of
+# brackets holds in every algebra with them when its symbol vanishes: give each
+# base form a variable per derivation, and read D^a of a product of base forms
+# as the powers a of the sums of their variables.
+def _poly_sum(terms: Iterable[tuple[int, dict]]) -> dict:
+    out: dict = {}
+    for c, poly in terms:
+        for m, v in poly.items():
+            out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    return _poly_sum((c, {tuple(map(add, m, m2)): v for m2, v in q.items()}) for m, c in p.items())
+
+
+@cache  # a few dozen entries over the laws below; callers never mutate them
+def _sum_power(size: int, variables: tuple[int, ...], p: int) -> dict:
+    units = {tuple(int(i == v) for i in range(size)): 1 for v in variables}
+    return _poly_mul(_sum_power(size, variables, p - 1), units) if p else {(0,) * size: 1}
+
+
+def _symbol_bracket(tag: Bracket, x: tuple, y: tuple, n: int, size: int, memo: dict) -> tuple:
+    """The order-n bracket of symbols (polynomial, variables per derivation, weight); order 0 is the product."""
+    (p, xs, k), (q, ys, l) = x, y
+    if (key := (tag, k, l, n, xs, ys)) not in memo:  # the bracket over the polynomials of x and y
+        one, powers = (0,) * len(xs), partial(_sum_power, size)
+        terms = bracket_terms(tag, k, l, n) if n else [(1, one, one)]
+        memo[key] = _poly_sum((c, reduce(_poly_mul, map(powers, xs + ys, a + b))) for c, a, b in terms)
+    return _poly_mul(_poly_mul(p, q), memo[key]), tuple(map(add, xs, ys)), k + l + BRACKET_WEIGHT_SHIFT[tag] * n
+
+
+def _decide(failure: str, tags: Iterable[Bracket], orders: range, arity: int, law: Callable) -> str | None:
+    """The first tag, order n and weights in {0..n}^arity where the symbol `law(tag, bracket, bases, n)` is nonzero.
+
+    Each coefficient of bracket_terms(tag, k, l, n) has degree <= n in k and in l, so a law of order n has
+    symbol coefficients of degree <= n in each weight, and it holds at every weight when it holds on the grid.
+    """
+    memo: dict = {}
+    for tag, n in product(tags, orders):
+        d = len(BRACKET_DERIVATIONS[tag])
+        symbol_bracket = partial(_symbol_bracket, tag, size=d * arity, memo=memo)
+        for weights in product(range(n + 1), repeat=arity):
+            bases = [({(0,) * d * arity: 1}, tuple((i * d + j,) for j in range(d)), w) for i, w in enumerate(weights)]
+            if law(tag, symbol_bracket, bases, n):
+                return f"{tag} {failure} at n={n}, weights {weights}"
+    return None
+
 
 def _classical_rc_qseries(k: int, l: int, fs: BigradedSeries, gs: BigradedSeries, n: int) -> BigradedSeries:
     # Classical Rankin-Cohen bracket evaluated directly on q-expansions.
@@ -408,7 +459,6 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
     rec = _Recorder()
     n_pairs = 15 if quick else 100
     n_rec_pairs = 8 if quick else 50
-    n_misc = 8 if quick else 25
 
     def stability_battery(tag: Bracket, algebra: Algebra, with_e1: bool) -> Callable[[], str | None]:
         def stays(f: QJForm, g: QJForm) -> str | None:
@@ -425,17 +475,13 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
     rec.check("rc_d:preserves_JS", stability_battery(Bracket.RC_D, Algebra.JS, False))
     rec.check("tv:preserves_JSinf0", stability_battery(Bracket.TV, Algebra.JSINF0, True))
 
+    # rc(e4, wp, 1) = rcd(e4, wp, 1) - e4*e1*dwp, and rcd(e4, wp, 1) lies in JS.
+    rcd_e4_wp = Fraction(1, 5) * WP**4 - 5 * (WP**2 * E4) + 20 * E4**2 - Fraction(1, 20) * (WP * DWP**2)
+
     def rc_witness() -> str | None:
         w = bracket(Bracket.RC_TAU, E4, WP, 1)
-        expected = (
-            -1 * (E4 * E1 * DWP)
-            + Fraction(1, 5) * WP**4
-            - 5 * (WP**2 * E4)
-            + 20 * E4**2
-            - Fraction(1, 20) * (WP * DWP**2)
-        )
         got = (w, w.depth(), member(w, Algebra.JSINF0), member(w, Algebra.JS))
-        return _expect(got, (expected, (0, 1), False, False))
+        return _expect(got, (rcd_e4_wp - E4 * E1 * DWP, (0, 1), False, False))
 
     rec.check("witness:rc_e4_wp", rc_witness)
 
@@ -450,76 +496,47 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
         return None if not member(w, Algebra.JS0INF) else f"got {w}"
 
     rec.check("witness:tv_e4_wp", tv_witness)
-    rec.check(
-        "value:rcd_e4_wp_in_JS",
-        lambda: _expect(
-            bracket(Bracket.RC_D, E4, WP, 1),
-            Fraction(1, 5) * WP**4 - 5 * (WP**2 * E4) + 20 * E4**2 - Fraction(1, 20) * (WP * DWP**2),
-        ),
-    )
+    rec.check("value:rcd_e4_wp_in_JS", lambda: _expect(bracket(Bracket.RC_D, E4, WP, 1), rcd_e4_wp))
     rec.check(
         "value:tv_e2_e1",
         lambda: _expect(bracket(Bracket.TV, E2, E1, 1), Fraction(1, 4) * ((E2**2 - 5 * E4) * (-1 * WP - E2))),
     )
 
-    def tv_vanishes(f: QJForm, g: QJForm) -> str | None:
-        for n in range(1, 4):
-            if bracket(Bracket.TV, f, g, n) != ZERO:
-                return f"tv order {n} is nonzero"
-        return None
+    # Decided on symbols.  dz kills M = Q[e4, e6] when it kills e4 and e6, and
+    # then so does every tv term with a dz in one slot.
+    def without_dz(tag: Bracket, b: Callable, bases: list, n: int) -> dict:
+        dz = [v for _, sums, _ in bases for v in sums[BRACKET_DERIVATIONS[tag].index(Derivation.DZ)]]
+        return {m: c for m, c in b(*bases, n)[0].items() if not any(m[v] for v in dz)}
 
     rec.check(
         "tv:vanishes_on_M",
-        lambda: _first_failure(product((E4, e6_form(), E4 * e6_form(), E4**2), repeat=2), tv_vanishes),
+        lambda: _first_failure([(E4,), (e6_form(),)], lambda x: "dz is nonzero" if derive(Derivation.DZ, x) else None)
+        or _decide("term without dz", [Bracket.TV], range(1, 5), 2, without_dz),
     )
 
-    def e1_transfer(f: QJForm, g: QJForm) -> str | None:
-        # Moving a factor e1 across the transvectant slots differs by lower
-        # order brackets only; the exact combination follows from star
-        # associativity.
-        for n in range(1, 5):
-            lhs = bracket(Bracket.TV, f * E1, g, n) - bracket(Bracket.TV, f, g * E1, n)
-            rhs = f * bracket(Bracket.TV, E1, g, n) + (-1) ** (n - 1) * (g * bracket(Bracket.TV, E1, f, n))
-            for i in range(1, n):
-                c = comb(n, i)
-                rhs = rhs - c * bracket(Bracket.TV, bracket(Bracket.TV, f, E1, i), g, n - i)
-                rhs = rhs - c * (-1) ** (n - 1) * bracket(Bracket.TV, bracket(Bracket.TV, g, E1, i), f, n - i)
-            if lhs != rhs:
-                return f"e1-transfer identity fails at n={n}"
-        return None
+    def e1_transfer(tag: Bracket, tv: Callable, bases: list, n: int) -> dict:
+        # Moving a factor e1 (a generic base form) across the transvectant slots
+        # differs by lower order brackets, as star associativity implies.
+        (f, g, e1), sign = bases, (-1) ** (n - 1)
+        terms = [(1, tv(tv(f, e1, 0), g, n)), (-1, tv(f, tv(g, e1, 0), n)), (-1, tv(f, tv(e1, g, n), 0))]
+        terms += [(-sign, tv(g, tv(e1, f, n), 0))] + [(comb(n, i), tv(tv(f, e1, i), g, n - i)) for i in range(1, n)]
+        terms += [(comb(n, i) * sign, tv(tv(g, e1, i), f, n - i)) for i in range(1, n)]
+        return _poly_sum((c, x[0]) for c, x in terms)
 
-    rec.check(
-        "tv:e1_transfer_identity", lambda: _first_failure(_samples(rng, n_misc, 6, 6, max_terms=2), e1_transfer)
-    )
+    transfer = partial(_decide, "e1-transfer identity fails", [Bracket.TV], range(1, 5), 3, e1_transfer)
+    rec.check("tv:e1_transfer_identity", transfer)
 
-    # Decided on the coefficient table.  For f and g of weights k and l,
-    # bracket(tag, f, g, n) is the sum of c * D^a f * D^b g over the terms of
-    # bracket_terms(tag, k, l, n), and each c is a polynomial of degree <= n in
-    # k and in l, so a law of the merged terms that holds for k, l in 0..n holds
-    # at every weight.  The weight shift rests on weight_shift:derivations.
-    def merged_terms(tag: Bracket, k: int, l: int, n: int) -> dict[tuple, int]:
-        merged: dict[tuple, int] = {}
-        for c, a, b in bracket_terms(tag, k, l, n):
-            merged[a, b] = merged.get((a, b), 0) + c
-        return {ab: c for ab, c in merged.items() if c}
+    def asymmetry(tag: Bracket, b: Callable, bases: list, n: int) -> dict:
+        f, g = bases
+        return _poly_sum([(1, b(f, g, n)[0]), (-((-1) ** n), b(g, f, n)[0])])
 
-    def table_failure(failure: str, law: Callable[[Bracket, int, int, int], bool]) -> str | None:
-        for tag, n in product(Bracket, range(1, 4)):
-            for k, l in product(range(n + 1), repeat=2):
-                if not law(tag, k, l, n):
-                    return f"{tag} {failure} at n={n}, weights ({k}, {l})"
-        return None
+    def wrong_weight(tag: Bracket, b: Callable, bases: list, n: int) -> dict:
+        # Each variable weighs its derivation's shift (weight_shift:derivations).
+        w = [DERIVATION_WEIGHT_SHIFT[d] for d in BRACKET_DERIVATIONS[tag]] * 2
+        return {m: c for m, c in b(*bases, n)[0].items() if sum(map(mul, m, w)) != BRACKET_WEIGHT_SHIFT[tag] * n}
 
-    def symmetric(tag: Bracket, k: int, l: int, n: int) -> bool:
-        return merged_terms(tag, k, l, n) == {(b, a): (-1) ** n * c for (a, b), c in merged_terms(tag, l, k, n).items()}
-
-    def shifts_weight(tag: Bracket, k: int, l: int, n: int) -> bool:
-        shifts = [DERIVATION_WEIGHT_SHIFT[d] for d in BRACKET_DERIVATIONS[tag]] * 2
-        shift = BRACKET_WEIGHT_SHIFT[tag] * n
-        return all(sum(p * s for p, s in zip(a + b, shifts)) == shift for a, b in merged_terms(tag, k, l, n))
-
-    rec.check("symmetry:minus_one_n", lambda: table_failure("symmetry fails", symmetric))
-    rec.check("weight_shift:brackets", lambda: table_failure("weight shift wrong", shifts_weight))
+    rec.check("symmetry:minus_one_n", partial(_decide, "symmetry fails", Bracket, range(1, 4), 2, asymmetry))
+    rec.check("weight_shift:brackets", partial(_decide, "weight shift wrong", Bracket, range(1, 4), 2, wrong_weight))
 
     def tv_recurrence(f: QJForm, g: QJForm) -> str | None:
         for n in range(6):
@@ -560,33 +577,19 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
 # deformations: order-by-order associativity of the three star products
 # ---------------------------------------------------------------------------
 
-def _assoc_defect(tag: Bracket, f: QJForm, g: QJForm, h: QJForm, n: int) -> QJForm:
-    lhs = ZERO
-    rhs = ZERO
-    for r in range(n + 1):
-        weight = comb(n, r) if tag is Bracket.TV else 1
-        lhs = lhs + weight * bracket(tag, bracket(tag, f, g, r), h, n - r)
-        rhs = rhs + weight * bracket(tag, f, bracket(tag, g, h, r), n - r)
-    return lhs - rhs
-
-
 def suite_deformations(rng: random.Random, quick: bool = False) -> list[Check]:
     rec = _Recorder()
-    n_triples = 4 if quick else 20
 
-    def associative(tag: Bracket, orders: int, f: QJForm, g: QJForm, h: QJForm) -> str | None:
-        for n in range(orders):
-            if _assoc_defect(tag, f, g, h, n) != ZERO:
-                return f"associativity fails at n={n}"
-        return None
+    # Decided on symbols.  The tv star product weighs bracket n by 1/n!, so its
+    # order-n associativity weighs the split (r, n - r) by C(n, r).
+    def associativity_defect(tag: Bracket, b: Callable, bases: list, n: int) -> dict:
+        (f, g, h), weights = bases, [comb(n, r) if tag is Bracket.TV else 1 for r in range(n + 1)]
+        terms = [(w, b(b(f, g, r), h, n - r)) for r, w in enumerate(weights)]
+        return _poly_sum((c, x[0]) for c, x in terms + [(-w, b(f, b(g, h, r), n - r)) for r, w in enumerate(weights)])
 
     for tag in (Bracket.TV, Bracket.RC_TAU, Bracket.RC_D):
-        law = partial(associative, tag, 5)
-        rec.check(
-            f"associativity:{tag.value}",
-            lambda law=law: _first_failure(_samples(rng, n_triples, 8, 8, 8, max_terms=2), law),
-        )
-    rec.check("associativity:wp_e1_e2", lambda: _first_failure([(WP, E1, E2)], partial(associative, Bracket.TV, 4)))
+        decide = partial(_decide, "associativity fails", [tag], range(5), 3, associativity_defect)
+        rec.check(f"associativity:{tag.value}", decide)
 
     @cache
     def pair() -> tuple[QJForm, QJForm]:
@@ -736,14 +739,10 @@ def suite_oracle(rng: random.Random, quick: bool = False) -> list[Check]:
     rec.check("homomorphism:add_mul", lambda: _first_failure(add_mul_cases(), homomorphism))
 
     def correspondence(f: QJForm) -> str | None:
-        lhs = expand(derive(Derivation.DZ, f), q_prec, u_max)
-        rhs = series_derive(SeriesDerivation.DU, expand(f, q_prec, u_max))
-        if not series_equal(lhs, rhs, 8):
-            return "dz correspondence fails"
-        lhs2 = expand(derive(Derivation.DTAU, f), q_prec, u_max)
-        rhs2 = series_derive(SeriesDerivation.QDQ, expand(f, q_prec, u_max))
-        if not series_equal(lhs2, rhs2, 8):
-            return "dtau correspondence fails"
+        for tag, series_tag in ((Derivation.DZ, SeriesDerivation.DU), (Derivation.DTAU, SeriesDerivation.QDQ)):
+            rhs = series_derive(series_tag, expand(f, q_prec, u_max))
+            if not series_equal(expand(derive(tag, f), q_prec, u_max), rhs, 8):
+                return f"{tag.value} correspondence fails"
         return None
 
     rec.check("correspondence:dz_dtau", lambda: _first_failure(_samples(rng, n_random, 6), correspondence))

@@ -150,6 +150,15 @@ def tv_f_powers_moved(terms):
     return mutant
 
 
+def tv_order_one_doubled(terms):
+    # Keeps the symmetry and the weight shifts; only laws that mix orders see it.
+    def mutant(tag, k, l, n):
+        out = terms(tag, k, l, n)
+        return [(2 * c, a, b) for c, a, b in out] if tag is Bracket.TV and n == 1 else out
+
+    return mutant
+
+
 TABLE_MUTANTS = [
     (
         rc_binomial_shifted,
@@ -163,15 +172,94 @@ TABLE_MUTANTS = [
         "Bracket.TV weight shift wrong at n=1, weights (0, 0)",
         "value:tv_e2_e1",
     ),
+    (
+        rc_binomial_shifted,
+        "associativity:rc",
+        "Bracket.RC_TAU associativity fails at n=1, weights (0, 0, 0)",
+        "value:rcd_e4_wp_in_JS",
+    ),
+    (
+        tv_order_one_doubled,
+        "associativity:tv",
+        "Bracket.TV associativity fails at n=2, weights (0, 0, 0)",
+        "value:tv_e2_e1",
+    ),
+    (
+        tv_order_one_doubled,
+        "tv:e1_transfer_identity",
+        "Bracket.TV e1-transfer identity fails at n=2, weights (0, 0, 0)",
+        "value:tv_e2_e1",
+    ),
 ]
 
+# The checks decided on the symbols of the coefficient table.
+DECIDED_BRACKET_CHECKS = (
+    "tv:vanishes_on_M",
+    "tv:e1_transfer_identity",
+    "symmetry:minus_one_n",
+    "weight_shift:brackets",
+    "associativity:tv",
+    "associativity:rc",
+    "associativity:rcd",
+)
 
-@pytest.mark.parametrize("mutate, name, detail, value", TABLE_MUTANTS, ids=["rc_binomial", "tv_powers"])
-def test_decided_bracket_check_names_the_mutated_table(monkeypatch, mutate, name, detail, value):
+
+def mutate_table(monkeypatch, mutate) -> None:
     mutant = mutate(calculus.bracket_terms)
     monkeypatch.setattr(calculus, "bracket_terms", mutant)
     monkeypatch.setattr(verify, "bracket_terms", mutant)
-    checks = {c.name: c for c in verify.suite_brackets(random.Random(0), True)}
+
+
+@pytest.fixture
+def run_bracket_suites(monkeypatch):
+    """Runs brackets and deformations for a seed: the checks by name, and the checks during which a form was drawn."""
+    running, drawing = [], set()
+    check, form = verify._Recorder.check, verify.random_form
+
+    def recorded_check(self, name, run):
+        running.append(name)
+        check(self, name, run)
+
+    def spied_form(*args, **kwargs):
+        drawing.add(running[-1] if running else None)
+        return form(*args, **kwargs)
+
+    monkeypatch.setattr(verify._Recorder, "check", recorded_check)
+    monkeypatch.setattr(verify, "random_form", spied_form)
+
+    def run(seed: int) -> tuple[dict, set]:
+        running.clear()
+        drawing.clear()
+        suites = (verify.suite_brackets, verify.suite_deformations)
+        return {c.name: c for suite in suites for c in suite(random.Random(seed), True)}, set(drawing)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "mutate, name, detail, value",
+    TABLE_MUTANTS,
+    ids=["rc_binomial", "tv_powers", "rc_associativity", "tv_associativity", "tv_e1_transfer"],
+)
+def test_decided_bracket_check_names_the_mutated_table(monkeypatch, run_bracket_suites, mutate, name, detail, value):
+    mutate_table(monkeypatch, mutate)
+    checks, _ = run_bracket_suites(0)
     assert not checks[name].ok
     assert checks[name].detail == detail
     assert not checks[value].ok
+
+
+def test_decided_bracket_checks_draw_no_forms(run_bracket_suites):
+    checks, drawing = run_bracket_suites(0)
+    assert all(checks[name].ok for name in DECIDED_BRACKET_CHECKS)
+    assert "tv:recurrence_equals_formula" in drawing  # the spy sees the sampled checks draw
+    assert drawing.isdisjoint(DECIDED_BRACKET_CHECKS) and None not in drawing
+
+
+@pytest.mark.parametrize("mutate", [rc_binomial_shifted, tv_order_one_doubled], ids=["rc_binomial", "tv_order_one"])
+def test_decided_bracket_details_do_not_depend_on_the_seed(monkeypatch, run_bracket_suites, mutate):
+    mutate_table(monkeypatch, mutate)
+    runs = [run_bracket_suites(seed)[0] for seed in (0, 1)]
+    details = [{name: checks[name].detail for name in DECIDED_BRACKET_CHECKS} for checks in runs]
+    assert details[0] == details[1]
+    assert any(details[0].values())
