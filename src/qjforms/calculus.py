@@ -169,15 +169,12 @@ def bracket(tag: Bracket, f: QJForm, g: QJForm, n: int) -> QJForm:
 
 
 def _recurrence(a: QJForm, b: QJForm, m: int, memo: dict[tuple[QJForm, QJForm, int], QJForm]) -> QJForm:
-    if m == 0:
-        return a * b
-    key = (a, b, m)
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = _recurrence(derive(Derivation.DTAU, a), derive(Derivation.DZ, b), m - 1, memo) - _recurrence(
-            derive(Derivation.DZ, a), derive(Derivation.DTAU, b), m - 1, memo
+    if (key := (a, b, m)) not in memo:  # leaves too: each one is reached from two parents
+        memo[key] = a * b if m == 0 else (
+            _recurrence(derive(Derivation.DTAU, a), derive(Derivation.DZ, b), m - 1, memo)
+            - _recurrence(derive(Derivation.DZ, a), derive(Derivation.DTAU, b), m - 1, memo)
         )
-    return hit
+    return memo[key]
 
 
 def transvectant_by_recurrence(f: QJForm, g: QJForm, n: int) -> QJForm:
@@ -185,7 +182,8 @@ def transvectant_by_recurrence(f: QJForm, g: QJForm, n: int) -> QJForm:
 
     Independent of the binomial-sum formula in :func:`bracket`; the two must
     agree for all orders.  The recursion revisits equal argument pairs (the
-    two primitive derivations commute), so results are memoized per call.
+    two primitive derivations commute), so results are memoized per call,
+    the order-0 products too: order n makes one product per distinct leaf.
     """
     if n < 0:
         raise ValueError("bracket order must be nonnegative")

@@ -331,6 +331,23 @@ class TestTransvectantRecurrence:
             for n in range(6):
                 assert transvectant_by_recurrence(f, g, n) == bracket(Bracket.TV, f, g, n)
 
+    def test_each_leaf_is_multiplied_once(self, monkeypatch):
+        # Order n has n + 1 leaves (dtau^i dz^j wp, dz^i dtau^j dwp), i + j = n,
+        # whose first slots differ in weight; two parents reach each inner one.
+        expected = {n: bracket(Bracket.TV, WP, DWP, n) for n in range(1, 6)}
+        products, mul = [], QJForm.__mul__
+
+        def counted(self, other):
+            if isinstance(other, QJForm):
+                products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(QJForm, "__mul__", counted)
+        for n in range(1, 6):
+            products.clear()
+            assert transvectant_by_recurrence(WP, DWP, n) == expected[n]
+            assert len(products) == n + 1, n
+
     def test_memo_leaves_no_forms_for_the_cyclic_collector(self):
         # Whatever the call leaves unreachable must hold no form: the memo's
         # forms are freed when the call returns, not at the next collection.

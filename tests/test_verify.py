@@ -129,7 +129,8 @@ def test_decided_check_names_the_perturbed_generator(name, tag, index, term, det
 
 
 # Mutants of the bracket coefficient table, each with the decided check that
-# must name it and a fixed value that bracket, reading the same table, loses.
+# must name it and a fixed value that bracket, reading the same table, loses;
+# no fixed value has a tv bracket of order >= 2, so there the recurrence does.
 def rc_binomial_shifted(terms):
     def mutant(tag, k, l, n):
         if tag is Bracket.TV:
@@ -155,6 +156,15 @@ def tv_order_one_doubled(terms):
     def mutant(tag, k, l, n):
         out = terms(tag, k, l, n)
         return [(2 * c, a, b) for c, a, b in out] if tag is Bracket.TV and n == 1 else out
+
+    return mutant
+
+
+def tv_last_term_dropped(terms):
+    # Drops dz^n f * dtau^n g from every order n >= 2; wp | wp leaves JSinf0 at order 2.
+    def mutant(tag, k, l, n):
+        out = terms(tag, k, l, n)
+        return out[:-1] if tag is Bracket.TV and n >= 2 else out
 
     return mutant
 
@@ -190,9 +200,28 @@ TABLE_MUTANTS = [
         "Bracket.TV e1-transfer identity fails at n=2, weights (0, 0, 0)",
         "value:tv_e2_e1",
     ),
+    (
+        rc_binomial_shifted,
+        "rc_tau:preserves_JS0inf",
+        "Bracket.RC_TAU order 1 leaves JS0inf on e1 | e1",
+        "value:rcd_e4_wp_in_JS",
+    ),
+    (
+        rc_binomial_shifted,
+        "rc_d:preserves_JS",
+        "Bracket.RC_D order 1 leaves JS on wp | wp",
+        "value:rcd_e4_wp_in_JS",
+    ),
+    (
+        tv_last_term_dropped,
+        "tv:preserves_JSinf0",
+        "Bracket.TV order 2 leaves JSinf0 on wp | wp",
+        "tv:recurrence_equals_formula",
+    ),
 ]
 
-# The checks decided on the symbols of the coefficient table.
+# The checks decided on the symbols of the coefficient table, and the
+# stability theorems decided on basis pairs.
 DECIDED_BRACKET_CHECKS = (
     "tv:vanishes_on_M",
     "tv:e1_transfer_identity",
@@ -201,6 +230,9 @@ DECIDED_BRACKET_CHECKS = (
     "associativity:tv",
     "associativity:rc",
     "associativity:rcd",
+    "rc_tau:preserves_JS0inf",
+    "rc_d:preserves_JS",
+    "tv:preserves_JSinf0",
 )
 
 
@@ -239,7 +271,16 @@ def run_bracket_suites(monkeypatch):
 @pytest.mark.parametrize(
     "mutate, name, detail, value",
     TABLE_MUTANTS,
-    ids=["rc_binomial", "tv_powers", "rc_associativity", "tv_associativity", "tv_e1_transfer"],
+    ids=[
+        "rc_binomial",
+        "tv_powers",
+        "rc_associativity",
+        "tv_associativity",
+        "tv_e1_transfer",
+        "rc_preserves_JS0inf",
+        "rcd_preserves_JS",
+        "tv_preserves_JSinf0",
+    ],
 )
 def test_decided_bracket_check_names_the_mutated_table(monkeypatch, run_bracket_suites, mutate, name, detail, value):
     mutate_table(monkeypatch, mutate)
@@ -256,7 +297,11 @@ def test_decided_bracket_checks_draw_no_forms(run_bracket_suites):
     assert drawing.isdisjoint(DECIDED_BRACKET_CHECKS) and None not in drawing
 
 
-@pytest.mark.parametrize("mutate", [rc_binomial_shifted, tv_order_one_doubled], ids=["rc_binomial", "tv_order_one"])
+@pytest.mark.parametrize(
+    "mutate",
+    [rc_binomial_shifted, tv_order_one_doubled, tv_last_term_dropped],
+    ids=["rc_binomial", "tv_order_one", "tv_last_term"],
+)
 def test_decided_bracket_details_do_not_depend_on_the_seed(monkeypatch, run_bracket_suites, mutate):
     mutate_table(monkeypatch, mutate)
     runs = [run_bracket_suites(seed)[0] for seed in (0, 1)]
