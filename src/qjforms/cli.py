@@ -275,6 +275,11 @@ def main(argv: list[str] | None = None) -> int:
     # in the command's arguments still reports in the requested mode.
     argv = sys.argv[1:] if argv is None else argv
     args = argparse.Namespace()
+    # An exact result may have more digits than Python 3.11+ converts to a
+    # string by default: lift that limit for this command only.
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         try:
             _parse(argv, args)
@@ -296,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: standard output was closed", file=sys.stderr)
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def _parse(argv: list[str], args: argparse.Namespace) -> None:

@@ -81,6 +81,28 @@ class TestEval:
         assert code == 1 and err == "error: exponent above 32767 in a product\n"
         assert (json.loads(out)["ok"] is False) if json_mode else out == ""
 
+    def test_non_ascii_digit_is_a_syntax_error(self, capsys):
+        message = "unexpected character '²' (at offset 0)"
+        code, out, err = run(capsys, "eval", "²")
+        assert code == 2 and out == "" and err == f"syntax error: {message}\n"
+        code, payload, err = run_json(capsys, "eval", "²")
+        assert code == 2 and payload == {"ok": False, "result": None, "errors": [message]}
+        assert err == f"syntax error: {message}\n"
+
+    @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+    def test_result_beyond_the_int_string_limit(self, capsys, json_mode):
+        # Python 3.11+ refuses to print an int of more than 4300 digits by
+        # default; the command lifts the limit and restores it on return.
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out, err = run(capsys, *(["--json"] if json_mode else []), "eval", "10^5000")
+        assert code == 0 and err == ""
+        digits = "1" + "0" * 5000
+        if json_mode:
+            assert json.loads(out)["result"] == [{"exponents": [0, 0, 0, 0, 0], "coeff": f"{digits}/1"}]
+        else:
+            assert out == f"{digits}\n"
+        assert limit is None or sys.get_int_max_str_digits() == limit
+
     @pytest.mark.parametrize("expr", ["eis(3000)", "(" * 1200 + "wp" + ")" * 1200], ids=["eis3000", "nested1200"])
     def test_recursion_limit_exit_one(self, capsys, expr):
         # A deep Eisenstein recursion or a deeply nested expression fails
@@ -176,6 +198,12 @@ class TestExpand:
     def test_empty_precision_window_is_usage_error(self, capsys):
         code, out, err = run(capsys, "expand", "wp", "--qprec", "0")
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_coefficient_beyond_the_int_string_limit(self, capsys):
+        code, payload, _ = run_json(capsys, "expand", "10^5000*e1", "--qprec", "1", "--umax", "1")
+        assert code == 0
+        digits = "1" + "0" * 5000
+        assert [c["coeff"] for c in payload["result"]["coeffs"]] == [f"{digits}/1", f"-{digits}/3"]
 
     def test_mixed_weight_rejected(self, capsys):
         code, _, err = run(capsys, "expand", "wp + e1")

@@ -79,6 +79,18 @@ class TestParse:
             parse("wp @ e4")
         assert err.value.position == 3
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("²", 0), ("٣*wp", 0), ("wp^²", 3), ("q(wp,٣,0)", 5)],
+        ids=["superscript", "arabic_indic", "superscript_exponent", "arabic_indic_argument"],
+    )
+    def test_only_ascii_digits_are_digits(self, text, position):
+        # str.isdigit accepts these, but int() rejects the superscript and
+        # reads the Arabic-Indic digit as 3.
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse(text)
+        assert err.value.position == position
+
     def test_unknown_identifier(self):
         with pytest.raises(ParseError, match="unknown identifier"):
             parse("foo + wp")

@@ -2,14 +2,16 @@
 
 import json
 import random
-from math import comb
+from math import comb, lcm
 
 import pytest
 
-from qjforms import calculus, verify
+from qjforms import calculus, dimensions, series, verify
 from qjforms.calculus import Bracket, Derivation, derive
 from qjforms.cli import main
+from qjforms.dimensions import FAMILY_WEIGHTS, DimFamily
 from qjforms.forms import DWP, E1, E2, E4, WP, image_table
+from qjforms.series import BigradedSeries
 
 # Per suite: a callee that raises, the exception, and the prefixes of the
 # names of the checks it fails (a full name is its own prefix).
@@ -242,9 +244,15 @@ def mutate_table(monkeypatch, mutate) -> None:
     monkeypatch.setattr(verify, "bracket_terms", mutant)
 
 
+# The sampled checks: the premises that the checks decided on generators,
+# symbols, basis pairs and periods rest on.  No other check draws a form.
+PREMISES = {"leibniz:all_tags", "structure:depth_q_calculus", "tv:recurrence_equals_formula", "homomorphism:add_mul"}
+BRACKET_SUITES = ("brackets", "deformations")
+
+
 @pytest.fixture
-def run_bracket_suites(monkeypatch):
-    """Runs brackets and deformations for a seed: the checks by name, and the checks during which a form was drawn."""
+def run_spied_suites(monkeypatch):
+    """Runs suites for a seed: the checks by name, and the checks during which a form was drawn."""
     running, drawing = [], set()
     check, form = verify._Recorder.check, verify.random_form
 
@@ -259,11 +267,11 @@ def run_bracket_suites(monkeypatch):
     monkeypatch.setattr(verify._Recorder, "check", recorded_check)
     monkeypatch.setattr(verify, "random_form", spied_form)
 
-    def run(seed: int) -> tuple[dict, set]:
+    def run(seed: int, suites=("all",), quick: bool = True) -> tuple[dict, set]:
         running.clear()
         drawing.clear()
-        suites = (verify.suite_brackets, verify.suite_deformations)
-        return {c.name: c for suite in suites for c in suite(random.Random(seed), True)}, set(drawing)
+        results = verify.run_suites(suites, seed, quick)
+        return {c.name: c for checks in results.values() for c in checks}, set(drawing)
 
     return run
 
@@ -282,16 +290,16 @@ def run_bracket_suites(monkeypatch):
         "tv_preserves_JSinf0",
     ],
 )
-def test_decided_bracket_check_names_the_mutated_table(monkeypatch, run_bracket_suites, mutate, name, detail, value):
+def test_decided_bracket_check_names_the_mutated_table(monkeypatch, run_spied_suites, mutate, name, detail, value):
     mutate_table(monkeypatch, mutate)
-    checks, _ = run_bracket_suites(0)
+    checks, _ = run_spied_suites(0, BRACKET_SUITES)
     assert not checks[name].ok
     assert checks[name].detail == detail
     assert not checks[value].ok
 
 
-def test_decided_bracket_checks_draw_no_forms(run_bracket_suites):
-    checks, drawing = run_bracket_suites(0)
+def test_decided_bracket_checks_draw_no_forms(run_spied_suites):
+    checks, drawing = run_spied_suites(0, BRACKET_SUITES)
     assert all(checks[name].ok for name in DECIDED_BRACKET_CHECKS)
     assert "tv:recurrence_equals_formula" in drawing  # the spy sees the sampled checks draw
     assert drawing.isdisjoint(DECIDED_BRACKET_CHECKS) and None not in drawing
@@ -302,9 +310,74 @@ def test_decided_bracket_checks_draw_no_forms(run_bracket_suites):
     [rc_binomial_shifted, tv_order_one_doubled, tv_last_term_dropped],
     ids=["rc_binomial", "tv_order_one", "tv_last_term"],
 )
-def test_decided_bracket_details_do_not_depend_on_the_seed(monkeypatch, run_bracket_suites, mutate):
+def test_decided_bracket_details_do_not_depend_on_the_seed(monkeypatch, run_spied_suites, mutate):
     mutate_table(monkeypatch, mutate)
-    runs = [run_bracket_suites(seed)[0] for seed in (0, 1)]
+    runs = [run_spied_suites(seed, BRACKET_SUITES)[0] for seed in (0, 1)]
     details = [{name: checks[name].detail for name in DECIDED_BRACKET_CHECKS} for checks in runs]
     assert details[0] == details[1]
     assert any(details[0].values())
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_only_the_premises_draw_forms(run_spied_suites, seed, quick):
+    checks, drawing = run_spied_suites(seed, quick=quick)
+    assert all(c.ok for c in checks.values())
+    assert drawing == PREMISES
+
+
+# Mutants of the oracle and the dimension triangle, each with the check decided
+# on the generators or on one period per degree, and the case it must name.
+def test_correspondence_names_the_perturbed_generator():
+    images = [derive(Derivation.DTAU, g) for g in (WP, DWP, E4, E1, E2)]
+    images[3] = images[3] + DWP
+    saved = calculus._TABLES[Derivation.DTAU]
+    derive.cache_clear()
+    try:
+        calculus._TABLES[Derivation.DTAU] = image_table(images)
+        checks = {c.name: c for c in verify.suite_oracle(random.Random(0), True)}
+    finally:
+        calculus._TABLES[Derivation.DTAU] = saved
+        derive.cache_clear()
+    assert not checks["correspondence:dz_dtau"].ok
+    assert checks["correspondence:dz_dtau"].detail == "dtau correspondence fails on e1"
+
+
+def test_parity_names_the_perturbed_generator(monkeypatch):
+    def e1_with_constant(q_prec, span):
+        s = series._e1_series(q_prec, span)
+        return BigradedSeries(1, q_prec, s.u_val, s.u_max, {**dict(s.items()), (0, 0): 1})
+
+    generators = list(series._GENERATORS)
+    generators[3] = e1_with_constant
+    caches = (series._generator_power, series._monomial_series)
+    for memo in caches:
+        memo.cache_clear()
+    try:
+        monkeypatch.setattr(series, "_GENERATORS", tuple(generators))
+        checks = {c.name: c for c in verify.suite_oracle(random.Random(0), True)}
+    finally:
+        monkeypatch.undo()
+        for memo in caches:
+            memo.cache_clear()
+    assert not checks["parity:u_exponents"].ok
+    assert checks["parity:u_exponents"].detail == "parity fails: u^0 present at weight 1 on e1"
+
+
+def test_triangle_names_the_perturbed_residue(monkeypatch):
+    den, slices = dimensions._RESIDUES[DimFamily.DS]
+    shifted = [*slices[7][:-1], slices[7][-1] + den]
+    monkeypatch.setitem(dimensions._RESIDUES, DimFamily.DS, (den, (*slices[:7], tuple(shifted), *slices[8:])))
+    checks = {c.name: c for c in verify.suite_dimensions(random.Random(0), True)}
+    assert not checks["triangle:closed_brute_series"].ok
+    assert checks["triangle:closed_brute_series"].detail == "DS k=7: closed=3 brute=2 series=2"
+
+
+@pytest.mark.parametrize("family", list(DimFamily), ids=[f.value for f in DimFamily])
+def test_triangle_premise_one_polynomial_per_residue(family):
+    # The triangle compares k < lcm(w) * len(w), which decides it when
+    # dim_closed is one polynomial of degree < len(w) per residue mod lcm(w).
+    weights = FAMILY_WEIGHTS[family]
+    _, slices = dimensions._RESIDUES[family]
+    assert lcm(*weights) == 12 and len(slices) == 12
+    assert all(len(coeffs) <= len(weights) for coeffs in slices)
