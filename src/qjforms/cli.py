@@ -191,9 +191,10 @@ def _cmd_verify(args) -> int:
         passed = sum(1 for c in checks if c.ok)
         failed = len(checks) - passed
         suites_json[suite] = {
-            "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks],
+            "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail, "seconds": c.seconds} for c in checks],
             "passed": passed,
             "failed": failed,
+            "seconds": sum(c.seconds for c in checks),
         }
         for c in checks:
             mark = "PASS" if c.ok else "FAIL"

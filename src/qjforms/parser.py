@@ -243,10 +243,10 @@ class _Parser:
                 if name not in _FUNCTIONS:
                     raise ParseError(f"unknown function {name!r}", tok[2])
                 self.advance()
-                args: list = [self.expr()]
+                args: list = [(self.peek()[2], self.expr())]  # (offset, argument)
                 while self.peek()[0] == ",":
                     self.advance()
-                    args.append(self.expr())
+                    args.append((self.peek()[2], self.expr()))
                 self.expect(")")
                 return self._make_call(name, args, tok[2])
             if name not in _VARIABLES:
@@ -261,12 +261,12 @@ class _Parser:
             raise ParseError(
                 f"{name} takes {n_forms + n_ints} argument(s), got {len(args)}", position
             )
-        converted = list(args[:n_forms])
-        for arg in args[n_forms:]:
+        converted = [arg for _, arg in args[:n_forms]]
+        for offset, arg in args[n_forms:]:
             if not isinstance(arg, Lit) or arg.value.denominator != 1 or arg.value < 0:
                 raise ParseError(
                     f"the trailing argument(s) of {name} must be nonnegative integer literals",
-                    position,
+                    offset,
                 )
             converted.append(int(arg.value))
         return Call(name, tuple(converted))

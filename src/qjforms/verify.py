@@ -15,6 +15,7 @@ from functools import cache, partial, reduce
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, lcm
 from operator import add, mul
+from time import perf_counter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
@@ -79,9 +80,9 @@ from .series import (
 
 
 class Check(Value):
-    """One named verification result; a failure carries a detail."""
+    """One named verification result; a failure carries a detail, and each its run time in seconds."""
 
-    __slots__ = ("name", "ok", "detail")
+    __slots__ = ("name", "ok", "detail", "seconds")
 
 
 class _Recorder:
@@ -89,12 +90,13 @@ class _Recorder:
         self.checks: list[Check] = []
 
     def check(self, name: str, run: Callable[[], str | None]) -> None:
-        """Run one check, which returns None on success or a failure detail."""
+        """Run one check, which returns None on success or a failure detail, and time it."""
+        start = perf_counter()
         try:
             detail = run()
         except Exception as exc:  # a crash is a failed check, not a crashed suite
             detail = f"raised {type(exc).__name__}: {exc}"
-        self.checks.append(Check(name, detail is None, detail or ""))
+        self.checks.append(Check(name, detail is None, detail or "", perf_counter() - start))
 
 
 def _expect(got: object, expected: object) -> str | None:
@@ -230,25 +232,17 @@ def suite_identities(rng: random.Random, quick: bool = False) -> list[Check]:
 # stability: derivation matrix, depth calculus, Q-coefficient formulas
 # ---------------------------------------------------------------------------
 
-_EXPECTED_MATRIX: dict[tuple[Algebra, Derivation], str | None] = {
-    (Algebra.M, Derivation.DZ): None,
-    (Algebra.M, Derivation.DTAU): "e4",
-    (Algebra.M, Derivation.OB): None,
-    (Algebra.MINF, Derivation.DZ): None,
-    (Algebra.MINF, Derivation.DTAU): None,
-    (Algebra.MINF, Derivation.OB): None,
-    (Algebra.JS, Derivation.DZ): None,
-    (Algebra.JS, Derivation.DTAU): "wp",
-    (Algebra.JS, Derivation.OB): None,
-    (Algebra.JS0INF, Derivation.DZ): "e1",
-    (Algebra.JS0INF, Derivation.DTAU): "wp",
-    (Algebra.JS0INF, Derivation.OB): "e1",
-    (Algebra.JSINF0, Derivation.DZ): None,
-    (Algebra.JSINF0, Derivation.DTAU): "wp",
-    (Algebra.JSINF0, Derivation.OB): None,
-    (Algebra.JSINF, Derivation.DZ): None,
-    (Algebra.JSINF, Derivation.DTAU): None,
-    (Algebra.JSINF, Derivation.OB): None,
+# The stability table, one row per algebra: for dz, dtau and ob the first
+# generator each maps out of the algebra, then for rc, rcd and tv an order-1
+# pair whose bracket leaves it; None where the algebra is closed.
+_DERIVATION_COLUMNS = (Derivation.DZ, Derivation.DTAU, Derivation.OB)
+_STABILITY: dict[Algebra, tuple] = {
+    Algebra.M: (None, "e4", None, None, None, None),
+    Algebra.MINF: (None, None, None, None, None, None),
+    Algebra.JS: (None, "wp", None, (E4, WP), None, (E4, WP)),
+    Algebra.JS0INF: ("e1", "wp", "e1", None, (E1, E4), (E4, WP)),
+    Algebra.JSINF0: (None, "wp", None, (E4, WP), None, None),
+    Algebra.JSINF: (None, None, None, None, None, None),
 }
 
 
@@ -257,13 +251,14 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
     n_forms = 40 if quick else 200
     n_pairs = 10 if quick else 40
 
-    for (alg, tag), witness in _EXPECTED_MATRIX.items():
-        rec.check(
-            f"matrix:{alg.value}/{tag.value}",
-            lambda alg=alg, tag=tag, witness=witness: _expect(
-                check_stability(alg, tag), StabilityReport(witness is None, witness)
-            ),
-        )
+    for alg, row in _STABILITY.items():
+        for tag, witness in zip(_DERIVATION_COLUMNS, row):
+            rec.check(
+                f"matrix:{alg.value}/{tag.value}",
+                lambda alg=alg, tag=tag, witness=witness: _expect(
+                    check_stability(alg, tag), StabilityReport(witness is None, witness)
+                ),
+            )
 
     # Serre derivation on the modular generators.
     rec.check("serre:ob_e4", lambda: _expect(derive(Derivation.OB, E4), -14 * e6_form()))
@@ -329,6 +324,7 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
         for name, derivation, allowed in (
             ("dz", dz, lambda e, d: (e <= s1 and d <= s2) or (e <= s1 + 1 and d <= s2 - 1)),
             ("dtau", dtau, lambda e, d: (e <= s1 + 1 and d <= s2) or (e <= s1 and d <= s2 + 1)),
+            ("d", partial(derive, Derivation.DJAC), lambda e, d: e <= s1 + 1 and d <= s2),
         ):
             if not all(allowed(e, d) for (*_, d, e), _ in iter_terms(derivation(x))):
                 return f"refined {name} inclusion fails"
@@ -387,7 +383,7 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
 
 
 # ---------------------------------------------------------------------------
-# brackets: laws decided on symbols, stability theorems, witnesses, recurrence
+# brackets: laws decided on symbols, the stability table's bracket columns, recurrence
 # ---------------------------------------------------------------------------
 
 # Decided laws.  A bracket is a bidifferential operator in the commuting
@@ -457,63 +453,82 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
     rec = _Recorder()
     n_rec_pairs = 8 if quick else 50
 
-    # Decided on basis pairs.  A bracket of fixed order is bilinear and member on
-    # a monomial algebra is a support test, so closure on the unordered pairs
-    # (symmetry:minus_one_n) of monomials of weights k, l >= 1 with k + l <= 10,
-    # and for tv on (b, e1) with b of weight <= 9, decides it on all such forms.
-    def stays(tag: Bracket, algebra: Algebra, orders: range, f: QJForm, g: QJForm) -> str | None:
-        for n in orders:
-            if not member(bracket(tag, f, g, n), algebra):
-                return f"{tag} order {n} leaves {algebra.value}"
-        return None
-
-    def closed(tag: Bracket, algebra: Algebra, with_e1: bool = False) -> str | None:
-        monos = [QJForm.monomial(m) for k in range(1, 10) for m in monomials_of_weight(k, algebra)]
-        pairs = [(f, g) for f, g in combinations_with_replacement(monos, 2) if f.weight() + g.weight() <= 10]
-        failure = _first_failure(pairs, partial(stays, tag, algebra, range(5)))
-        return failure or _first_failure([(b, E1) for b in monos if with_e1], partial(stays, tag, algebra, range(1, 5)))
-
-    rec.check("rc_tau:preserves_JS0inf", partial(closed, Bracket.RC_TAU, Algebra.JS0INF))
-    rec.check("rc_d:preserves_JS", partial(closed, Bracket.RC_D, Algebra.JS))
-    rec.check("tv:preserves_JSinf0", partial(closed, Bracket.TV, Algebra.JSINF0, True))
-
-    # rc(e4, wp, 1) = rcd(e4, wp, 1) - e4*e1*dwp, and rcd(e4, wp, 1) lies in JS.
-    rcd_e4_wp = Fraction(1, 5) * WP**4 - 5 * (WP**2 * E4) + 20 * E4**2 - Fraction(1, 20) * (WP * DWP**2)
-
-    def rc_witness() -> str | None:
-        w = bracket(Bracket.RC_TAU, E4, WP, 1)
-        got = (w, w.depth(), member(w, Algebra.JSINF0), member(w, Algebra.JS))
-        return _expect(got, (rcd_e4_wp - E4 * E1 * DWP, (0, 1), False, False))
-
-    rec.check("witness:rc_e4_wp", rc_witness)
-
-    def rcd_witness() -> str | None:
-        w = bracket(Bracket.RC_D, E1, E4, 1)
-        return None if w.depth().s1 == 1 and not member(w, Algebra.JS0INF) else f"got depth {w.depth()}"
-
-    rec.check("witness:rcd_e1_e4", rcd_witness)
-
-    def tv_witness() -> str | None:
-        w = bracket(Bracket.TV, E4, WP, 1)
-        return None if not member(w, Algebra.JS0INF) else f"got {w}"
-
-    rec.check("witness:tv_e4_wp", tv_witness)
-    rec.check("value:rcd_e4_wp_in_JS", lambda: _expect(bracket(Bracket.RC_D, E4, WP, 1), rcd_e4_wp))
-    rec.check(
-        "value:tv_e2_e1",
-        lambda: _expect(bracket(Bracket.TV, E2, E1, 1), Fraction(1, 4) * ((E2**2 - 5 * E4) * (-1 * WP - E2))),
-    )
-
-    # Decided on symbols.  dz kills M = Q[e4, e6] when it kills e4 and e6, and
-    # then so does every tv term with a dz in one slot.
     def without_dz(tag: Bracket, b: Callable, bases: list, n: int) -> dict:
         dz = [v for _, sums, _ in bases for v in sums[BRACKET_DERIVATIONS[tag].index(Derivation.DZ)]]
         return {m: c for m, c in b(*bases, n)[0].items() if not any(m[v] for v in dz)}
 
+    # tv on JSinf0, decided on basis pairs.  A bracket of fixed order is bilinear
+    # and member on a monomial algebra is a support test, so closure on the
+    # unordered pairs (symmetry:minus_one_n) of monomials of weights k, l >= 1
+    # with k + l <= 10, and on (b, e1) with b of weight <= 9, decides it on all such forms.
+    def stays(alg: Algebra, orders: range, f: QJForm, g: QJForm) -> str | None:
+        n = next((n for n in orders if not member(bracket(Bracket.TV, f, g, n), alg)), None)
+        return None if n is None else f"{Bracket.TV} order {n} leaves {alg.value}"
+
+    def basis_pairs(alg: Algebra) -> str | None:
+        monos = [QJForm.monomial(m) for k in range(1, 10) for m in monomials_of_weight(k, alg)]
+        pairs = [(f, g) for f, g in combinations_with_replacement(monos, 2) if f.weight() + g.weight() <= 10]
+        failure = _first_failure(pairs, partial(stays, alg, range(5)))
+        return failure or _first_failure([(b, E1) for b in monos], partial(stays, alg, range(1, 5)))
+
+    # The bracket columns of the stability table, one check per cell.
+    def cell(tag: Bracket, alg: Algebra, pair: tuple | None) -> str | None:
+        gens = [(x,) for _, x in ALGEBRA_GENERATORS[alg]]
+        if pair:  # open: both forms lie in the algebra and their bracket does not
+            return _first_failure([pair], lambda f, g: None if member(f, alg) and member(g, alg) and not member(
+                bracket(tag, f, g, 1), alg) else f"{tag} order 1 does not leave {alg.value}")
+        if alg is Algebra.JSINF:  # closed: it holds every generator, so every form
+            return _first_failure(_GENERATORS, lambda x: None if member(x, alg) else f"{alg.value} misses it")
+        if tag is Bracket.TV and alg is Algebra.JSINF0:
+            return basis_pairs(alg)
+        if tag is Bracket.TV:  # on M and Minf: dz kills the generators, so the algebra,
+            # and every tv term has a dz in one slot (decided on symbols), so tv vanishes
+            failure = _first_failure(gens, lambda x: "dz is nonzero" if derive(Derivation.DZ, x) else None)
+            return failure or _decide("term without dz", [Bracket.TV], range(1, 5), 2, without_dz)
+        # rc or rcd in the frame of rc:theta_tower, with D the bracket's derivation:
+        # theta = D - 2*phi*delta is a derivation, so it maps the algebra into itself
+        # when it maps each generator there, and then with Phi every f_r stays inside.
+        (d,), phi = BRACKET_DERIVATIONS[tag], Fraction(1, 4) * E2
+        failure = _first_failure(gens, lambda x: None if member(
+            derive(d, x) - 2 * phi * derive(Derivation.DELTA, x), alg) else f"theta leaves {alg.value}")
+        big_phi = phi * phi - derive(d, phi)
+        return failure or (None if member(big_phi, alg) else f"Phi = {big_phi} leaves {alg.value}")
+
+    def theta_tower(tag: Bracket, b: Callable, bases: list, n: int) -> dict:
+        # Zagier's canonical Rankin-Cohen algebra.  In the free differential
+        # algebra of f, g and phi, with theta h = D h - (wt h)*phi*h and
+        # Phi = phi^2 - D phi, f_0 = f and f_(r+1) = theta f_r - r(k+r-1)*Phi*f_(r-1)
+        # give [f, g]_n = sum of c*f_i*g_j over bracket_terms.  A monomial holds the
+        # power of D^p of the s-th of f, g, phi at s*(n+1) + p (only p < n is
+        # differentiated); c and f_i have degrees n - i and <= i in k, and c and
+        # g_j degrees i and <= n - i in l, so the weight grid decides it.
+        (*_, k), (*_, l), size = *bases, 3 * (n + 1)
+        var = [{tuple(int(i == v) for i in range(size)): 1} for v in range(size)]
+
+        def d(p: dict) -> dict:  # D^p x -> D^(p+1) x by the Leibniz rule
+            return _poly_sum((c * e, {m[:v] + (e - 1, m[v + 1] + 1) + m[v + 2:]: 1}) for m, c in p.items()
+                             for v, e in enumerate(m) if e)
+
+        phi, fs, gs = var[2 * (n + 1)], [var[0]], [var[n + 1]]
+        big_phi = _poly_sum([(1, _poly_mul(phi, phi)), (-1, d(phi))])
+        for r, (t, w) in product(range(n), ((fs, k), (gs, l))):  # the Phi term is zero at r = 0
+            t.append(_poly_sum([(1, d(t[r])), (-(w + 2 * r), _poly_mul(phi, t[r])),
+                                (-r * (w + r - 1), _poly_mul(big_phi, t[r - 1]))]))
+        return _poly_sum(x for c, (i,), (j,) in bracket_terms(tag, k, l, n)
+                         for x in ((c, _poly_mul(var[i], var[n + 1 + j])), (-c, _poly_mul(fs[i], gs[j]))))
+
+    tower = partial(_decide, "theta-tower identity fails", [Bracket.RC_TAU, Bracket.RC_D], range(1, 5), 2, theta_tower)
+    rec.check("rc:theta_tower", tower)
+    for column, tag in enumerate(Bracket, len(_DERIVATION_COLUMNS)):
+        for alg, row in _STABILITY.items():
+            rec.check(f"stability:{tag.value}/{alg.value}", partial(cell, tag, alg, row[column]))
+
+    # rcd(e4, wp, 1) lies in JS.
+    rcd_e4_wp = Fraction(1, 5) * WP**4 - 5 * (WP**2 * E4) + 20 * E4**2 - Fraction(1, 20) * (WP * DWP**2)
+    rec.check("value:rcd_e4_wp_in_JS", lambda: _expect(bracket(Bracket.RC_D, E4, WP, 1), rcd_e4_wp))
     rec.check(
-        "tv:vanishes_on_M",
-        lambda: _first_failure([(E4,), (e6_form(),)], lambda x: "dz is nonzero" if derive(Derivation.DZ, x) else None)
-        or _decide("term without dz", [Bracket.TV], range(1, 5), 2, without_dz),
+        "value:tv_e2_e1",
+        lambda: _expect(bracket(Bracket.TV, E2, E1, 1), Fraction(1, 4) * ((E2**2 - 5 * E4) * (-1 * WP - E2))),
     )
 
     def e1_transfer(tag: Bracket, tv: Callable, bases: list, n: int) -> dict:

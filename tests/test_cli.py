@@ -242,6 +242,13 @@ class TestVerifyCommand:
         assert suites["dimensions"]["failed"] == 0
         assert all(c["ok"] for c in suites["dimensions"]["checks"])
 
+    def test_json_report_times_every_check(self, capsys):
+        code, payload, _ = run_json(capsys, "verify", "stability", "--quick")
+        assert code == 0
+        suite = payload["result"]["suites"]["stability"]
+        assert all(c["seconds"] >= 0 for c in suite["checks"])
+        assert suite["seconds"] == sum(c["seconds"] for c in suite["checks"])
+
     def test_failure_prints_a_reproducer(self, capsys, monkeypatch):
         # A recurrence that swaps its arguments from order 3 on fails
         # tv:recurrence_equals_formula on a drawn pair.  The detail names the
@@ -261,7 +268,7 @@ class TestVerifyCommand:
         f, g = map(parse_and_evaluate, texts)
         assert [str(f), str(g)] == texts
         assert swapped(f, g, int(n)) != bracket(Bracket.TV, f, g, int(n))
-        assert "suite brackets: 14 passed, 1 failed\nrerun: qjalg verify brackets --seed 5 --quick\n" in out
+        assert "suite brackets: 26 passed, 1 failed\nrerun: qjalg verify brackets --seed 5 --quick\n" in out
         code, again, _ = run(capsys, "verify", "brackets", "--seed", "5", "--quick")
         assert code == 1 and fail in again.splitlines()
 

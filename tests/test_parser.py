@@ -103,6 +103,17 @@ class TestParse:
         with pytest.raises(ParseError, match="zero denominator"):
             parse("1/0")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("rc(wp, e4, -1)", 11), ("q(e2, 1, 1/2)", 9), ("wp + tv(e4, wp, e2)", 16), ("wp + rc(e4, wp)", 5)],
+        ids=["negative", "rational", "form", "arity"],
+    )
+    def test_call_error_offsets(self, text, position):
+        # A bad trailing argument is reported at its own offset, a wrong arity at the function's.
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
+
     def test_call_arity(self):
         with pytest.raises(ParseError, match="takes 3 argument"):
             parse("rc(e4, wp)")

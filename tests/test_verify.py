@@ -7,7 +7,7 @@ from math import comb, lcm
 import pytest
 
 from qjforms import calculus, dimensions, series, verify
-from qjforms.calculus import Bracket, Derivation, derive
+from qjforms.calculus import Algebra, Bracket, Derivation, derive
 from qjforms.cli import main
 from qjforms.dimensions import FAMILY_WEIGHTS, DimFamily
 from qjforms.forms import DWP, E1, E2, E4, WP, image_table
@@ -18,7 +18,8 @@ from qjforms.series import BigradedSeries
 PLANTS = {
     "identities": ("expand", ZeroDivisionError, ("series:",)),
     "stability": ("check_stability", TypeError, ("matrix:",)),
-    "brackets": ("member", ZeroDivisionError, ("rc_tau:preserves", "rc_d:preserves", "tv:preserves", "witness:")),
+    # Every bracket stability cell but tv on M and Minf, which reads dz alone.
+    "brackets": ("member", ZeroDivisionError, ("stability:rc", "stability:tv/JS")),
     "deformations": ("star_truncated", TypeError, ("star:",)),
     "dimensions": ("dim_closed", ZeroDivisionError, ("ds:table", "triangle:", "recurrences:")),
     "oracle": (
@@ -99,6 +100,7 @@ PERTURBATIONS = [
     # images, so a changed dz or dtau image also breaks the Ob rule at (0,0).
     ("structure:depth_q_calculus", Derivation.DZ, 2, E1 * E4, "refined dz inclusion fails on e4"),
     ("structure:depth_q_calculus", Derivation.DTAU, 0, WP * E1**2, "refined dtau inclusion fails on wp"),
+    ("structure:depth_q_calculus", Derivation.DJAC, 3, E1**3, "refined d inclusion fails on e1"),
     ("structure:depth_q_calculus", Derivation.DZ, 3, E2, "Q dz formula fails at (1,0) on e1"),
     ("structure:depth_q_calculus", Derivation.DTAU, 4, E2**2, "Q dtau formula fails at (1,0) on e2"),
     ("structure:depth_q_calculus", Derivation.OB, 0, E4, "Q Oberdieck formula fails at (0,0) on wp"),
@@ -112,20 +114,40 @@ def perturbation_id(name: str, detail: str) -> str:
     return name.split(":")[0]
 
 
-@pytest.mark.parametrize(
-    "name, tag, index, term, detail", PERTURBATIONS, ids=[perturbation_id(p[0], p[4]) for p in PERTURBATIONS]
-)
-def test_decided_check_names_the_perturbed_generator(name, tag, index, term, detail):
+def perturbed_checks(suite, tag, index, term) -> dict:
+    """The checks of a suite run with `term` added to the image of generator `index` under `tag`."""
     images = [derive(tag, g) for g in (WP, DWP, E4, E1, E2)]
     images[index] = images[index] + term
     saved = calculus._TABLES[tag]
     derive.cache_clear()
     try:
         calculus._TABLES[tag] = image_table(images)
-        checks = {c.name: c for c in verify.suite_stability(random.Random(0), True)}
+        return {c.name: c for c in suite(random.Random(0), True)}
     finally:
         calculus._TABLES[tag] = saved
         derive.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "name, tag, index, term, detail", PERTURBATIONS, ids=[perturbation_id(p[0], p[4]) for p in PERTURBATIONS]
+)
+def test_decided_check_names_the_perturbed_generator(name, tag, index, term, detail):
+    checks = perturbed_checks(verify.suite_stability, tag, index, term)
+    assert not checks[name].ok
+    assert checks[name].detail == detail
+
+
+# The closed rc and rcd cells, decided in the theta frame: a perturbed image
+# moves theta of a generator, or Phi, out of the algebra.
+THETA_PERTURBATIONS = [
+    ("stability:rcd/JS", Derivation.DJAC, 0, E1 * DWP, "theta leaves JS on wp"),
+    ("stability:rc/M", Derivation.DTAU, 4, E1 * DWP, "Phi = -1/4*dwp*e1 + 5/16*e4 leaves M"),
+]
+
+
+@pytest.mark.parametrize("name, tag, index, term, detail", THETA_PERTURBATIONS, ids=["theta", "Phi"])
+def test_stability_cell_names_the_perturbed_generator(name, tag, index, term, detail):
+    checks = perturbed_checks(verify.suite_brackets, tag, index, term)
     assert not checks[name].ok
     assert checks[name].detail == detail
 
@@ -204,37 +226,30 @@ TABLE_MUTANTS = [
     ),
     (
         rc_binomial_shifted,
-        "rc_tau:preserves_JS0inf",
-        "Bracket.RC_TAU order 1 leaves JS0inf on e1 | e1",
-        "value:rcd_e4_wp_in_JS",
-    ),
-    (
-        rc_binomial_shifted,
-        "rc_d:preserves_JS",
-        "Bracket.RC_D order 1 leaves JS on wp | wp",
+        "rc:theta_tower",
+        "Bracket.RC_TAU theta-tower identity fails at n=1, weights (0, 1)",
         "value:rcd_e4_wp_in_JS",
     ),
     (
         tv_last_term_dropped,
-        "tv:preserves_JSinf0",
+        "stability:tv/JSinf0",
         "Bracket.TV order 2 leaves JSinf0 on wp | wp",
         "tv:recurrence_equals_formula",
     ),
 ]
 
-# The checks decided on the symbols of the coefficient table, and the
-# stability theorems decided on basis pairs.
+# The checks decided on the symbols of the coefficient table, and the cells of
+# the stability table, decided on generators, symbols, one pair or basis pairs.
+STABILITY_CELLS = tuple(f"stability:{tag.value}/{alg.value}" for tag in Bracket for alg in Algebra)
 DECIDED_BRACKET_CHECKS = (
-    "tv:vanishes_on_M",
+    "rc:theta_tower",
     "tv:e1_transfer_identity",
     "symmetry:minus_one_n",
     "weight_shift:brackets",
     "associativity:tv",
     "associativity:rc",
     "associativity:rcd",
-    "rc_tau:preserves_JS0inf",
-    "rc_d:preserves_JS",
-    "tv:preserves_JSinf0",
+    *STABILITY_CELLS,
 )
 
 
@@ -285,8 +300,7 @@ def run_spied_suites(monkeypatch):
         "rc_associativity",
         "tv_associativity",
         "tv_e1_transfer",
-        "rc_preserves_JS0inf",
-        "rcd_preserves_JS",
+        "rc_theta_tower",
         "tv_preserves_JSinf0",
     ],
 )
@@ -303,6 +317,37 @@ def test_decided_bracket_checks_draw_no_forms(run_spied_suites):
     assert all(checks[name].ok for name in DECIDED_BRACKET_CHECKS)
     assert "tv:recurrence_equals_formula" in drawing  # the spy sees the sampled checks draw
     assert drawing.isdisjoint(DECIDED_BRACKET_CHECKS) and None not in drawing
+
+
+def test_five_bracket_cells_are_open():
+    # rc leaves JS and JSinf0, rcd leaves JS0inf, and tv leaves JS and JS0inf.
+    cells = {(tag, alg) for alg, row in verify._STABILITY.items() for tag, pair in zip(Bracket, row[3:]) if pair}
+    assert cells == {
+        (Bracket.RC_TAU, Algebra.JS),
+        (Bracket.RC_TAU, Algebra.JSINF0),
+        (Bracket.RC_D, Algebra.JS0INF),
+        (Bracket.TV, Algebra.JS),
+        (Bracket.TV, Algebra.JS0INF),
+    }
+
+
+def test_only_tv_on_jsinf0_searches_basis_pairs(monkeypatch):
+    # Every other cell is decided on generators, symbols or its one pair; the
+    # sampled recurrence reaches monomials_of_weight through random_form.
+    searching, check, monomials = set(), verify._Recorder.check, verify.monomials_of_weight
+
+    def searching_check(self, name, run):
+        def spied(*args):
+            searching.add(name)
+            return monomials(*args)
+
+        monkeypatch.setattr(verify, "monomials_of_weight", spied)
+        check(self, name, run)
+
+    monkeypatch.setattr(verify._Recorder, "check", searching_check)
+    checks = verify.run_suites(["brackets"], quick=True)["brackets"]
+    assert [c.name for c in checks if c.name.startswith("stability:")] == list(STABILITY_CELLS)
+    assert searching == {"stability:tv/JSinf0", "tv:recurrence_equals_formula"}
 
 
 @pytest.mark.parametrize(
@@ -329,16 +374,7 @@ def test_only_the_premises_draw_forms(run_spied_suites, seed, quick):
 # Mutants of the oracle and the dimension triangle, each with the check decided
 # on the generators or on one period per degree, and the case it must name.
 def test_correspondence_names_the_perturbed_generator():
-    images = [derive(Derivation.DTAU, g) for g in (WP, DWP, E4, E1, E2)]
-    images[3] = images[3] + DWP
-    saved = calculus._TABLES[Derivation.DTAU]
-    derive.cache_clear()
-    try:
-        calculus._TABLES[Derivation.DTAU] = image_table(images)
-        checks = {c.name: c for c in verify.suite_oracle(random.Random(0), True)}
-    finally:
-        calculus._TABLES[Derivation.DTAU] = saved
-        derive.cache_clear()
+    checks = perturbed_checks(verify.suite_oracle, Derivation.DTAU, 3, DWP)
     assert not checks["correspondence:dz_dtau"].ok
     assert checks["correspondence:dz_dtau"].detail == "dtau correspondence fails on e1"
 
