@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache, partial, reduce
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import comb, factorial, lcm
 from operator import add, mul
 from time import perf_counter
@@ -453,38 +453,28 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
     rec = _Recorder()
     n_rec_pairs = 8 if quick else 50
 
-    def without_dz(tag: Bracket, b: Callable, bases: list, n: int) -> dict:
-        dz = [v for _, sums, _ in bases for v in sums[BRACKET_DERIVATIONS[tag].index(Derivation.DZ)]]
-        return {m: c for m, c in b(*bases, n)[0].items() if not any(m[v] for v in dz)}
+    # Cayley's Omega-process: D = dtau and Z = dz commute, so tv_n = mu (D x Z - Z x D)^n when this symbol vanishes.
+    def binomial_table(tag: Bracket, b: Callable, bases: list, n: int) -> dict:
+        omega = {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}  # x_D*y_Z - x_Z*y_D
+        return _poly_sum([(1, b(*bases, n)[0]), (-1, reduce(_poly_mul, [omega] * n))])
 
-    # tv on JSinf0, decided on basis pairs.  A bracket of fixed order is bilinear
-    # and member on a monomial algebra is a support test, so closure on the
-    # unordered pairs (symmetry:minus_one_n) of monomials of weights k, l >= 1
-    # with k + l <= 10, and on (b, e1) with b of weight <= 9, decides it on all such forms.
-    def stays(alg: Algebra, orders: range, f: QJForm, g: QJForm) -> str | None:
-        n = next((n for n in orders if not member(bracket(Bracket.TV, f, g, n), alg)), None)
-        return None if n is None else f"{Bracket.TV} order {n} leaves {alg.value}"
+    # With d = D + (e1/4)*Z and E = e1 x 1 - 1 x e1, D x Z - Z x D = d x Z - Z x d - E*(Z x Z)/4.  Moved to the left,
+    # each E differentiates e1 or dies under mu, so tv closes an algebra when d and dz map e1 and its generators into it.
+    def tv_frame(alg: Algebra, x: QJForm) -> str | None:
+        d, dz = derive(Derivation.DJAC, x), derive(Derivation.DZ, x)
+        in_frame = derive(Derivation.DTAU, x) == d - Fraction(1, 4) * (E1 * dz)
+        return None if in_frame and member(d, alg) and member(dz, alg) else f"the (d, dz) frame leaves {alg.value}"
 
-    def basis_pairs(alg: Algebra) -> str | None:
-        monos = [QJForm.monomial(m) for k in range(1, 10) for m in monomials_of_weight(k, alg)]
-        pairs = [(f, g) for f, g in combinations_with_replacement(monos, 2) if f.weight() + g.weight() <= 10]
-        failure = _first_failure(pairs, partial(stays, alg, range(5)))
-        return failure or _first_failure([(b, E1) for b in monos], partial(stays, alg, range(1, 5)))
-
-    # The bracket columns of the stability table, one check per cell.
+    # The bracket columns of the stability table, one check per cell; a closed cell is decided in its bracket's frame.
     def cell(tag: Bracket, alg: Algebra, pair: tuple | None) -> str | None:
         gens = [(x,) for _, x in ALGEBRA_GENERATORS[alg]]
         if pair:  # open: both forms lie in the algebra and their bracket does not
             return _first_failure([pair], lambda f, g: None if member(f, alg) and member(g, alg) and not member(
                 bracket(tag, f, g, 1), alg) else f"{tag} order 1 does not leave {alg.value}")
-        if alg is Algebra.JSINF:  # closed: it holds every generator, so every form
-            return _first_failure(_GENERATORS, lambda x: None if member(x, alg) else f"{alg.value} misses it")
-        if tag is Bracket.TV and alg is Algebra.JSINF0:
-            return basis_pairs(alg)
-        if tag is Bracket.TV:  # on M and Minf: dz kills the generators, so the algebra,
-            # and every tv term has a dz in one slot (decided on symbols), so tv vanishes
-            failure = _first_failure(gens, lambda x: "dz is nonzero" if derive(Derivation.DZ, x) else None)
-            return failure or _decide("term without dz", [Bracket.TV], range(1, 5), 2, without_dz)
+        if tag is Bracket.TV and alg in (Algebra.M, Algebra.MINF):  # each tv:binomial_table term has a dz
+            return _first_failure(gens, lambda x: "dz is nonzero" if derive(Derivation.DZ, x) else None)
+        if tag is Bracket.TV:  # on JSinf0 and JSinf, whose generators with e1 are the five
+            return _first_failure(_GENERATORS, partial(tv_frame, alg))
         # rc or rcd in the frame of rc:theta_tower, with D the bracket's derivation:
         # theta = D - 2*phi*delta is a derivation, so it maps the algebra into itself
         # when it maps each generator there, and then with Phi every f_r stays inside.
@@ -519,6 +509,8 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
 
     tower = partial(_decide, "theta-tower identity fails", [Bracket.RC_TAU, Bracket.RC_D], range(1, 5), 2, theta_tower)
     rec.check("rc:theta_tower", tower)
+    table = partial(_decide, "table is not (D x Z - Z x D)^n", [Bracket.TV], range(1, 5), 2, binomial_table)
+    rec.check("tv:binomial_table", table)
     for column, tag in enumerate(Bracket, len(_DERIVATION_COLUMNS)):
         for alg, row in _STABILITY.items():
             rec.check(f"stability:{tag.value}/{alg.value}", partial(cell, tag, alg, row[column]))

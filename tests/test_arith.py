@@ -1,11 +1,15 @@
 """Foundations: Bernoulli numbers, divisor sums, binomials."""
 
+import random
+import sys
+import threading
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qjforms import bernoulli, binomial, sigma
+from qjforms import arith, bernoulli, binomial, sigma
 
 
 def bernoulli_worpitzky(n: int) -> Fraction:
@@ -36,6 +40,47 @@ class TestBernoulli:
     def test_against_worpitzky_oracle(self):
         for n in range(21):
             assert bernoulli(n) == bernoulli_worpitzky(n), n
+
+    def test_against_laurent_recursion(self):
+        # An independent route to |B_k| for even k up to 500: the constant terms
+        # ee_k(0) = 2^k |B_k| / k! of the Eisenstein series obey the Laurent
+        # recursion of the Weierstrass equation, with c_n = (2n + 1) ee_(2n+2)(0):
+        # c_1 = 3 ee_4(0), c_2 = 5 ee_6(0), c_n = 6/(2n(2n-1) - 12) sum c_a c_b.
+        c = {1: 3 * Fraction(1, 45), 2: 5 * Fraction(2, 945)}
+        for n in range(3, 250):
+            c[n] = Fraction(6, 2 * n * (2 * n - 1) - 12) * sum(c[a] * c[n - 1 - a] for a in range(1, n - 1))
+        assert c[3] == Fraction(1, 675)
+        for n, cn in c.items():
+            k = 2 * n + 2
+            assert (2 * n + 1) * 2**k * abs(bernoulli(k)) / factorial(k) == cn, k
+            assert bernoulli(k) * (-1) ** n > 0, k  # the sign of B_k is (-1)^(k/2 - 1)
+
+    def test_table_is_safe_under_concurrent_growth(self, monkeypatch):
+        # Threads grow the table at once, each in its own order.  Each reads only
+        # a table it holds, and a table is published whole, so every value
+        # matches a sequential run whichever table was published last.
+        indices = list(range(0, 201, 2))
+        expected = [bernoulli(k) for k in indices]
+        orders = [random.Random(i).sample(indices, len(indices)) for i in range(8)]
+        results, interval = [], sys.getswitchinterval()
+
+        def worker(order: list[int]) -> None:
+            results.extend((k, arith.bernoulli.__wrapped__(k)) for k in order)  # past the lru_cache
+
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                monkeypatch.setattr(arith, "_even_bernoulli", [])
+                threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 20 * len(orders) * len(indices)
+        assert all(v == expected[k // 2] for k, v in results)
 
     @pytest.mark.parametrize("n", range(3, 31, 2))
     def test_odd_vanish(self, n):

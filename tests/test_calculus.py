@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qjforms import (
     DWP,
@@ -33,6 +34,14 @@ from qjforms.verify import random_form, _random_form_retry
 
 E6 = e6_form()
 F = Fraction
+
+
+@st.composite
+def jsinf_forms(draw, max_weight: int = 6) -> QJForm:
+    # A homogeneous form of weight 1..max_weight on up to three JSinf monomials.
+    monos = calculus.monomials_of_weight(draw(st.integers(1, max_weight)))
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+    return QJForm({m: F(draw(st.integers(1, 9)), draw(st.integers(1, 4))) for m in chosen})
 
 
 class TestGeneratorImages:
@@ -292,6 +301,20 @@ class TestBracketStabilityTheorems:
                 assert member(bracket(Bracket.TV, f, g, n), Algebra.JSINF0)
                 if n >= 1:
                     assert member(bracket(Bracket.TV, f, E1, n), Algebra.JSINF0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 3))
+    def test_tv_depth_bound(self, data, n):
+        # Depth is (e2-degree, e1-degree).  In the (d, dz) frame of verify's
+        # stability:tv/JSinf0, tv_n is a sum of words of 2n derivations d and dz,
+        # each raising the depth by at most (1, 0) (structure:depth_q_calculus),
+        # times derivatives of d(e1) and dz(e1), of e1-degree 0; the terms that
+        # keep an e1 x 1 - 1 x e1 vanish.  So tv_n adds at most (2n, 0) on JSinf.
+        f, g = (data.draw(jsinf_forms()) for _ in range(2))
+        out = bracket(Bracket.TV, f, g, n)
+        if out:
+            (s1, s2), (t1, t2), (d1, d2) = f.depth(), g.depth(), out.depth()
+            assert d1 <= s1 + t1 + 2 * n and d2 <= s2 + t2
 
     def test_e1_transfer_identity(self):
         # Moving a factor e1 across the slots costs only lower-order brackets.

@@ -138,14 +138,21 @@ def test_decided_check_names_the_perturbed_generator(name, tag, index, term, det
 
 
 # The closed rc and rcd cells, decided in the theta frame: a perturbed image
-# moves theta of a generator, or Phi, out of the algebra.
-THETA_PERTURBATIONS = [
+# moves theta of a generator, or Phi, out of the algebra.  tv on JSinf0, decided
+# in the (d, dz) frame: a perturbed d or dz image leaves JSinf0, and a perturbed
+# dtau image breaks dtau = d - (e1/4)*dz.
+FRAME_PERTURBATIONS = [
     ("stability:rcd/JS", Derivation.DJAC, 0, E1 * DWP, "theta leaves JS on wp"),
     ("stability:rc/M", Derivation.DTAU, 4, E1 * DWP, "Phi = -1/4*dwp*e1 + 5/16*e4 leaves M"),
+    ("stability:tv/JSinf0", Derivation.DJAC, 0, E1 * DWP, "the (d, dz) frame leaves JSinf0 on wp"),
+    ("stability:tv/JSinf0", Derivation.DZ, 3, E1 * E2, "the (d, dz) frame leaves JSinf0 on e1"),
+    ("stability:tv/JSinf0", Derivation.DTAU, 0, E2 * WP, "the (d, dz) frame leaves JSinf0 on wp"),
 ]
 
 
-@pytest.mark.parametrize("name, tag, index, term, detail", THETA_PERTURBATIONS, ids=["theta", "Phi"])
+@pytest.mark.parametrize(
+    "name, tag, index, term, detail", FRAME_PERTURBATIONS, ids=["theta", "Phi", "tv_d", "tv_dz", "tv_dtau"]
+)
 def test_stability_cell_names_the_perturbed_generator(name, tag, index, term, detail):
     checks = perturbed_checks(verify.suite_brackets, tag, index, term)
     assert not checks[name].ok
@@ -185,7 +192,7 @@ def tv_order_one_doubled(terms):
 
 
 def tv_last_term_dropped(terms):
-    # Drops dz^n f * dtau^n g from every order n >= 2; wp | wp leaves JSinf0 at order 2.
+    # Drops dz^n f * dtau^n g from every order n >= 2, so the symbol is no longer a power.
     def mutant(tag, k, l, n):
         out = terms(tag, k, l, n)
         return out[:-1] if tag is Bracket.TV and n >= 2 else out
@@ -232,17 +239,18 @@ TABLE_MUTANTS = [
     ),
     (
         tv_last_term_dropped,
-        "stability:tv/JSinf0",
-        "Bracket.TV order 2 leaves JSinf0 on wp | wp",
+        "tv:binomial_table",
+        "Bracket.TV table is not (D x Z - Z x D)^n at n=2, weights (0, 0)",
         "tv:recurrence_equals_formula",
     ),
 ]
 
 # The checks decided on the symbols of the coefficient table, and the cells of
-# the stability table, decided on generators, symbols, one pair or basis pairs.
+# the stability table, decided on generators or one pair.
 STABILITY_CELLS = tuple(f"stability:{tag.value}/{alg.value}" for tag in Bracket for alg in Algebra)
 DECIDED_BRACKET_CHECKS = (
     "rc:theta_tower",
+    "tv:binomial_table",
     "tv:e1_transfer_identity",
     "symmetry:minus_one_n",
     "weight_shift:brackets",
@@ -260,7 +268,7 @@ def mutate_table(monkeypatch, mutate) -> None:
 
 
 # The sampled checks: the premises that the checks decided on generators,
-# symbols, basis pairs and periods rest on.  No other check draws a form.
+# symbols and periods rest on.  No other check draws a form.
 PREMISES = {"leibniz:all_tags", "structure:depth_q_calculus", "tv:recurrence_equals_formula", "homomorphism:add_mul"}
 BRACKET_SUITES = ("brackets", "deformations")
 
@@ -301,7 +309,7 @@ def run_spied_suites(monkeypatch):
         "tv_associativity",
         "tv_e1_transfer",
         "rc_theta_tower",
-        "tv_preserves_JSinf0",
+        "tv_binomial_table",
     ],
 )
 def test_decided_bracket_check_names_the_mutated_table(monkeypatch, run_spied_suites, mutate, name, detail, value):
@@ -331,9 +339,9 @@ def test_five_bracket_cells_are_open():
     }
 
 
-def test_only_tv_on_jsinf0_searches_basis_pairs(monkeypatch):
-    # Every other cell is decided on generators, symbols or its one pair; the
-    # sampled recurrence reaches monomials_of_weight through random_form.
+def test_no_stability_cell_searches_basis_pairs(monkeypatch):
+    # Every cell is decided on generators or its one pair; only the sampled
+    # recurrence reaches monomials_of_weight, through random_form.
     searching, check, monomials = set(), verify._Recorder.check, verify.monomials_of_weight
 
     def searching_check(self, name, run):
@@ -347,7 +355,7 @@ def test_only_tv_on_jsinf0_searches_basis_pairs(monkeypatch):
     monkeypatch.setattr(verify._Recorder, "check", searching_check)
     checks = verify.run_suites(["brackets"], quick=True)["brackets"]
     assert [c.name for c in checks if c.name.startswith("stability:")] == list(STABILITY_CELLS)
-    assert searching == {"stability:tv/JSinf0", "tv:recurrence_equals_formula"}
+    assert searching == {"tv:recurrence_equals_formula"}
 
 
 @pytest.mark.parametrize(
