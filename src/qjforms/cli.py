@@ -47,11 +47,12 @@ def _series_json(s: BigradedSeries) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, result, text: str, ok: bool = True, errors: list[str] | None = None) -> int:
-    errors = errors or []
+def _emit(args: argparse.Namespace, result, text, ok: bool = True, errors: list[str] | tuple = ()) -> int:
+    # result and text are zero-argument callables: only the printed one runs.
     if args.json:
-        print(json.dumps({"ok": ok, "result": result, "errors": errors}, indent=None), flush=True)
+        print(json.dumps({"ok": ok, "result": result(), "errors": errors}, indent=None), flush=True)
     else:
+        text = text()
         if text:
             print(text, flush=True)
         for err in errors:
@@ -94,8 +95,8 @@ def _cmd_eval(args) -> int:
 
     value = parse_and_evaluate(args.expr)
     if isinstance(value, ScaledJForm):
-        return _emit(args, _scaled_json(value), str(value))
-    return _emit(args, _form_json(value), str(value))
+        return _emit(args, lambda: _scaled_json(value), lambda: str(value))
+    return _emit(args, lambda: _form_json(value), lambda: str(value))
 
 
 def _cmd_weight(args) -> int:
@@ -105,12 +106,12 @@ def _cmd_weight(args) -> int:
     if not comps:
         raise EvalError("the zero form has no weight")
     weights = [w for w, _ in comps]
-    return _emit(args, weights, ", ".join(str(w) for w in weights))
+    return _emit(args, lambda: weights, lambda: ", ".join(str(w) for w in weights))
 
 
 def _cmd_depth(args) -> int:
     profile = _plain_form(args.expr, "depth").depth()
-    return _emit(args, {"s1": profile.s1, "s2": profile.s2}, f"({profile.s1}, {profile.s2})")
+    return _emit(args, lambda: {"s1": profile.s1, "s2": profile.s2}, lambda: f"({profile.s1}, {profile.s2})")
 
 
 def _cmd_member(args) -> int:
@@ -118,7 +119,7 @@ def _cmd_member(args) -> int:
 
     algebra = _choose(Algebra, args.algebra, "algebra")
     verdict = member(_plain_form(args.expr, "member"), algebra)
-    return _emit(args, verdict, "true" if verdict else "false")
+    return _emit(args, lambda: verdict, lambda: "true" if verdict else "false")
 
 
 def _cmd_dim(args) -> int:
@@ -131,14 +132,12 @@ def _cmd_dim(args) -> int:
         family = _choose(DimFamily, parts[1], "family")
         kmax = _parse_int(parts[2], "KMAX")
         values = [dim_closed(family, k) for k in range(kmax + 1)]
-        text = "\n".join(f"{k}\t{v}" for k, v in enumerate(values))
-        return _emit(args, values, text)
+        return _emit(args, lambda: values, lambda: "\n".join(f"{k}\t{v}" for k, v in enumerate(values)))
     if len(parts) != 2:
         raise UsageError("usage: dim FAMILY K  |  dim table FAMILY KMAX")
     family = _choose(DimFamily, parts[0], "family")
-    k = _parse_int(parts[1], "K")
-    value = dim_closed(family, k)
-    return _emit(args, value, str(value))
+    value = dim_closed(family, _parse_int(parts[1], "K"))
+    return _emit(args, lambda: value, lambda: str(value))
 
 
 def _parse_int(text: str, role: str, minimum: int | None = 0) -> int:
@@ -165,10 +164,11 @@ def _cmd_expand(args) -> int:
     q_prec = _window_arg(args.qprec, "--qprec", "QJALG_QPREC", DEFAULT_QPREC, minimum=1)
     u_max = _window_arg(args.umax, "--umax", "QJALG_UMAX", DEFAULT_UMAX, minimum=None)
     series = expand(_plain_form(args.expr, "expand"), q_prec, u_max)
-    lines = [f"weight {series.weight}, q_prec {series.q_prec}, u in [{series.u_val}, {series.u_max}]"]
-    for (m, n), c in series.items():
-        lines.append(f"q^{m} u^{n}\t{c}")
-    return _emit(args, _series_json(series), "\n".join(lines))
+
+    def text() -> str:
+        head = f"weight {series.weight}, q_prec {series.q_prec}, u in [{series.u_val}, {series.u_max}]"
+        return "\n".join([head, *(f"q^{m} u^{n}\t{c}" for (m, n), c in series.items())])
+    return _emit(args, lambda: _series_json(series), text)
 
 
 def _cmd_bracket(args) -> int:
@@ -177,7 +177,7 @@ def _cmd_bracket(args) -> int:
     tag = _choose(Bracket, args.kind, "bracket kind")
     n = _parse_int(args.n, "N")
     value = bracket(tag, _plain_form(args.f, "bracket"), _plain_form(args.g, "bracket"), n)
-    return _emit(args, _form_json(value), str(value))
+    return _emit(args, lambda: _form_json(value), lambda: str(value))
 
 
 def _cmd_verify(args) -> int:
@@ -208,7 +208,7 @@ def _cmd_verify(args) -> int:
             lines.append(f"rerun: qjalg verify {suite} --seed {args.seed}{' --quick' if args.quick else ''}")
     ok = not failures
     lines.append("all checks passed" if ok else f"{len(failures)} check(s) failed")
-    return _emit(args, {"suites": suites_json}, "\n".join(lines), ok=ok, errors=failures)
+    return _emit(args, lambda: {"suites": suites_json}, lambda: "\n".join(lines), ok=ok, errors=failures)
 
 
 def _suite_name(name: str) -> str:

@@ -242,9 +242,9 @@ def series_equal(a: BigradedSeries, b: BigradedSeries, min_window: int = 1) -> b
     return True
 
 
-# Memo sizes, about twice the largest working sets measured (``qjalg verify
-# oracle``: 257 monomials, 293 generator powers and 152 Eisenstein coefficients;
-# the benchmark's series items need fewer).
+# Memo sizes, above the working sets measured from cleared memos: ``qjalg verify oracle`` (seeds
+# 20240801, 1, 2, 3) fills 110-120 monomials, 111-118 generator powers and 112 Eisenstein coefficients;
+# the benchmark's series items 147/147/96 in 95 oracle rounds (one 40 s run), and 334/259/96 in 3000.
 MONOMIAL_CACHE_SIZE = 512
 POWER_CACHE_SIZE = 512
 EISENSTEIN_CACHE_SIZE = 512
@@ -306,12 +306,15 @@ _GENERATORS = (
 def _generator_power(gen: int, p: int, q_prec: int, span: int) -> BigradedSeries:
     """The p-th power (p >= 1) of generator ``gen``, on a u-window of ``span + 1`` exponents.
 
-    One product of the memoised (p - 1)-th and first powers; a caller asks
-    for the powers in ascending order, so the recursion is one level deep.
+    By squaring along the memo: an even power is the square of the (p/2)-th,
+    an odd one the (p - 1)-th times the first, so p takes O(log p) products.
     """
     if p == 1:
         return _GENERATORS[gen](q_prec, span)
-    return series_mul(_generator_power(gen, p - 1, q_prec, span), _generator_power(gen, 1, q_prec, span))
+    if p % 2:
+        return series_mul(_generator_power(gen, p - 1, q_prec, span), _generator_power(gen, 1, q_prec, span))
+    half = _generator_power(gen, p // 2, q_prec, span)
+    return series_mul(half, half)
 
 
 @lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
@@ -323,10 +326,7 @@ def _monomial_series(expos: tuple[int, int, int, int, int], q_prec: int, u_max: 
         raise PrecisionError(f"u_max={u_max} cannot reach the monomial valuation {u_val}")
     # Each power has span + 1 exponents from its valuation, and so has the
     # product of powers: its window ends at u_max.
-    factors = []
-    for gen, power in enumerate(expos):
-        # Ascending, so each power finds the one below it memoised.
-        factors += [_generator_power(gen, p, q_prec, span) for p in range(1, power + 1)][-1:]
+    factors = [_generator_power(gen, p, q_prec, span) for gen, p in enumerate(expos) if p]
     if not factors:
         return BigradedSeries._raw(0, q_prec, 0, span, {(0, 0): 1}, 1)
     return reduce(series_mul, factors)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qjforms
-from qjforms import verify
+from qjforms import BigradedSeries, QJForm, cli, verify
 from qjforms.calculus import Bracket, bracket
 from qjforms.cli import main
 from qjforms.parser import parse_and_evaluate
@@ -208,6 +208,43 @@ class TestExpand:
     def test_mixed_weight_rejected(self, capsys):
         code, _, err = run(capsys, "expand", "wp + e1")
         assert code == 1
+
+
+def refuse(*args):
+    raise AssertionError("built the output that is not printed")
+
+
+class TestRendersOnce:
+    # Each command builds only the output of the requested mode, once.
+    EXPAND = ("expand", "wp^2 + e4", "--qprec", "2", "--umax", "3")
+
+    def test_text_expand_builds_no_json(self, capsys, monkeypatch):
+        _, expected, _ = run(capsys, *self.EXPAND)
+        monkeypatch.setattr(cli, "_series_json", refuse)
+        assert run(capsys, *self.EXPAND) == (0, expected, "")
+
+    @pytest.mark.parametrize("json_mode", [False, True])
+    def test_expand_reads_the_coefficients_once(self, capsys, monkeypatch, json_mode):
+        calls = []
+        items = BigradedSeries.items
+
+        def counting(self):
+            calls.append(self)
+            return items(self)
+
+        monkeypatch.setattr(BigradedSeries, "items", counting)
+        code, out, _ = run(capsys, *(["--json"] if json_mode else []), *self.EXPAND)
+        assert code == 0 and ("q^0 u^-4\t1" in out or '{"q": 0, "u": -4, "coeff": "1/1"}' in out)
+        assert len(calls) == 1
+
+    def test_json_eval_builds_no_text(self, capsys, monkeypatch):
+        _, expected, _ = run(capsys, "--json", "eval", "wp^2 - 5*e4")
+        monkeypatch.setattr(QJForm, "__str__", refuse)
+        assert run(capsys, "--json", "eval", "wp^2 - 5*e4") == (0, expected, "")
+
+    def test_text_eval_builds_no_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_form_json", refuse)
+        assert run(capsys, "eval", "wp^2 - 5*e4") == (0, "-5*e4 + wp^2\n", "")
 
 
 class TestBracketCommand:

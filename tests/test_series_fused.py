@@ -8,6 +8,7 @@ factor at a time, from the identity series, and a form as a running
 from the public Eisenstein q-series and share no code with the memos.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -159,6 +160,24 @@ class TestGeneratorPowers:
         # The p-th power of wp on span + 1 exponents: weight 2p, valuation -2p.
         s = series._generator_power(0, 4, 3, 5)
         assert (s.weight, s.q_prec, s.u_val, s.u_max) == (8, 3, -8, -3)
+
+    def test_high_power_from_a_cold_memo(self):
+        # Powers are built by squaring, so a cold p = 5000 recurses about
+        # 2 log2 p levels deep, not p.
+        series._generator_power.cache_clear()
+        s = series._generator_power(0, 5000, 1, 0)
+        assert (s.weight, s.u_val, s.u_max, s.items()) == (10000, -10000, -10000, [((0, -10000), 1)])
+
+    @pytest.mark.parametrize("expos", [(40, 0, 0, 0, 0), (0, 0, 0, 41, 0)])
+    def test_high_power_matches_repeated_products(self, expos):
+        # An even and an odd power, each from cleared memos, against the
+        # chain of one-factor products; a power p leaves at most
+        # 2 ceil(log2 p) entries in the power memo.
+        series._monomial_series.cache_clear()
+        series._generator_power.cache_clear()
+        u_max = valuation(expos) + 6
+        assert storage(series._monomial_series(expos, 2, u_max)) == storage(ref_monomial(expos, 2, u_max))
+        assert series._generator_power.cache_info().currsize <= 2 * math.ceil(math.log2(max(expos)))
 
 
 # The memoised functions of series.py, with the largest working set seen in
