@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import or_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from ._value import Value
 
@@ -377,13 +377,6 @@ def sum_of_products(terms: Iterable[tuple[Scalar, QJForm, QJForm]]) -> QJForm:
     for n, d, a, b in scaled:
         _add_product(out, n * (den // d), a, b)
     return _make(_check_guard(out), den)
-
-
-def iter_terms(f: QJForm) -> Iterator[tuple[Exponents, Fraction]]:
-    """Terms of f in storage order, for loops that do not need the sorted :meth:`QJForm.terms`."""
-    den = f._den
-    for key, n in f._num.items():
-        yield _unpack(key), Fraction(n, den)
 
 
 # Derivative rows one ImageTable memoises before it empties its memo.  The

@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, Mapping, Union
 
 from .arith import bernoulli, sigma
-from .forms import QJForm, iter_terms
+from .forms import QJForm
 
 Scalar = Union[int, Fraction]
 
@@ -244,7 +244,7 @@ def series_equal(a: BigradedSeries, b: BigradedSeries, min_window: int = 1) -> b
 
 # Memo sizes, above the working sets measured from cleared memos: ``qjalg verify oracle`` (seeds
 # 20240801, 1, 2, 3) fills 110-120 monomials, 111-118 generator powers and 112 Eisenstein coefficients;
-# the benchmark's series items 147/147/96 in 95 oracle rounds (one 40 s run), and 334/259/96 in 3000.
+# the benchmark's series items (seed 424242) 143/140/96 in 95 oracle rounds, and 336/260/96 in 3000.
 MONOMIAL_CACHE_SIZE = 512
 POWER_CACHE_SIZE = 512
 EISENSTEIN_CACHE_SIZE = 512
@@ -252,12 +252,11 @@ EISENSTEIN_CACHE_SIZE = 512
 
 @lru_cache(maxsize=EISENSTEIN_CACHE_SIZE)
 def _eisenstein_coeff(k: int, m: int) -> Fraction:
-    # q^m coefficient of ee_k = e_k / pi^k.
-    bk = bernoulli(k)
-    lead = Fraction(2**k) * abs(bk) / math.factorial(k)
+    # q^m coefficient of ee_k = e_k / pi^k: 2^k |B_k| / k! at m = 0, and the
+    # Fourier coefficient (-1)^(k/2) 2^(k+1) sigma_(k-1)(m) / (k-1)! beyond.
     if m == 0:
-        return lead
-    return lead * Fraction(-2 * k) / bk * sigma(k, m)
+        return Fraction(2**k) * abs(bernoulli(k)) / math.factorial(k)
+    return Fraction((-1) ** (k // 2) * 2 ** (k + 1) * sigma(k, m), math.factorial(k - 1))
 
 
 def eisenstein_qseries(k: int, q_prec: int) -> BigradedSeries:
@@ -267,15 +266,9 @@ def eisenstein_qseries(k: int, q_prec: int) -> BigradedSeries:
     return BigradedSeries(k, q_prec, 0, 0, {(m, 0): _eisenstein_coeff(k, m) for m in range(q_prec)})
 
 
-def _widen_u(a: BigradedSeries, u_val: int, u_max: int) -> BigradedSeries:
-    # Valid only when the series' full u-support is known to lie in the
-    # current window (true for the u-constant Eisenstein series).
-    return BigradedSeries._raw(a.weight, a.q_prec, u_val, u_max, a._coeffs, a._denom)
-
-
 def _wp_series(q_prec: int, span: int) -> BigradedSeries:
     out: dict[tuple[int, int], Fraction] = {(0, -2): Fraction(1)}
-    for n in range(2, span - 1, 2):
+    for n in reversed(range(2, span - 1, 2)):  # top weight first: B_k's table is built once, at its size
         for m in range(q_prec):
             out[(m, n)] = (n + 1) * _eisenstein_coeff(n + 2, m)
     return BigradedSeries(2, q_prec, -2, -2 + span, out)
@@ -283,7 +276,7 @@ def _wp_series(q_prec: int, span: int) -> BigradedSeries:
 
 def _e1_series(q_prec: int, span: int) -> BigradedSeries:
     out: dict[tuple[int, int], Fraction] = {(0, -1): Fraction(1)}
-    for n in range(1, span, 2):
+    for n in reversed(range(1, span, 2)):  # top weight first, as in _wp_series
         for m in range(q_prec):
             out[(m, n)] = -_eisenstein_coeff(n + 1, m)
     return BigradedSeries(1, q_prec, -1, -1 + span, out)
@@ -296,9 +289,9 @@ def _e1_series(q_prec: int, span: int) -> BigradedSeries:
 _GENERATORS = (
     _wp_series,
     lambda q_prec, span: series_derive(SeriesDerivation.DU, _generator_power(0, 1, q_prec, span)),
-    lambda q_prec, span: _widen_u(eisenstein_qseries(4, q_prec), 0, span),
+    lambda q_prec, span: BigradedSeries(4, q_prec, 0, span, eisenstein_qseries(4, q_prec).items()),
     _e1_series,
-    lambda q_prec, span: _widen_u(eisenstein_qseries(2, q_prec), 0, span),
+    lambda q_prec, span: BigradedSeries(2, q_prec, 0, span, eisenstein_qseries(2, q_prec).items()),
 )
 
 
@@ -343,7 +336,7 @@ def expand(f: QJForm, q_prec: int = DEFAULT_QPREC, u_max: int = DEFAULT_UMAX) ->
         raise PrecisionError("q_prec must be at least 1")
     if len(f.weight_components()) > 1:
         raise ValueError("expand requires a weight-homogeneous form; split it first")
-    terms = [(coeff, _monomial_series(expos, q_prec, u_max)) for expos, coeff in iter_terms(f)]
+    terms = [(coeff, _monomial_series(expos, q_prec, u_max)) for expos, coeff in f.terms()]
     den = math.lcm(*(coeff.denominator * mono._denom for coeff, mono in terms))
     # The window holds the zero series' and every monomial's.
     u_val = min(0, u_max, *(mono.u_val for _, mono in terms))

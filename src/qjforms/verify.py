@@ -62,7 +62,6 @@ from .forms import (
     QJForm,
     ScaledJForm,
     e6_form,
-    iter_terms,
     q_coefficient,
 )
 from .series import (
@@ -326,7 +325,7 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
             ("dtau", dtau, lambda e, d: (e <= s1 + 1 and d <= s2) or (e <= s1 and d <= s2 + 1)),
             ("d", partial(derive, Derivation.DJAC), lambda e, d: e <= s1 + 1 and d <= s2),
         ):
-            if not all(allowed(e, d) for (*_, d, e), _ in iter_terms(derivation(x))):
+            if not all(allowed(e, d) for (*_, d, e), _ in derivation(x).terms()):
                 return f"refined {name} inclusion fails"
 
         def q(i: int, j: int) -> QJForm:

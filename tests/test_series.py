@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -28,6 +29,8 @@ from qjforms import (
     series_mul,
     series_scale,
 )
+from qjforms import series
+from qjforms.arith import bernoulli
 from qjforms.verify import random_form, _random_form_retry
 
 F = Fraction
@@ -57,6 +60,32 @@ class TestEisensteinQSeries:
             eisenstein_qseries(0, 4)
         with pytest.raises(PrecisionError):
             eisenstein_qseries(4, 0)
+
+    def test_closed_form_matches_fourier_definition(self):
+        # ee_k(0) = 2^k |B_k| / k! and ee_k(m) = (-2k / B_k) ee_k(0) sigma_(k-1)(m),
+        # the Fourier expansion of G_k over pi^k, with sigma by a divisor loop.
+        for k in range(2, 101, 2):
+            ee0 = 2**k * abs(bernoulli(k)) / factorial(k)
+            assert series._eisenstein_coeff(k, 0) == ee0, k
+            for m in range(1, 21):
+                sigma = sum(d ** (k - 1) for d in range(1, m + 1) if m % d == 0)
+                assert series._eisenstein_coeff(k, m) == -2 * k / bernoulli(k) * ee0 * sigma, (k, m)
+
+    def test_wide_windows_match_laurent_recursion(self):
+        # The constant terms c_n = (2n + 1) ee_(2n+2)(0) by the Laurent recursion
+        # of the Weierstrass equation, with no Bernoulli number: wp has c_n at
+        # u^(2n) and e1 has -c_n / (2n + 1) at u^(2n + 1), for n up to 200.  The
+        # sum of c_a c_b over a + b = n - 1 is taken once per pair a < b.
+        c = {1: 3 * F(1, 45), 2: 5 * F(2, 945)}
+        for n in range(3, 201):
+            pairs = 2 * sum(c[a] * c[n - 1 - a] for a in range(1, n // 2))
+            c[n] = F(6, 2 * n * (2 * n - 1) - 12) * (pairs + (c[n // 2] ** 2 if n % 2 else 0))
+        assert c[3] == F(1, 675)
+        wp, e1 = expand(WP, 1, 400), expand(E1, 1, 401)
+        assert e1.coefficient(0, 1) == F(-1, 3)
+        for n, cn in c.items():
+            assert wp.coefficient(0, 2 * n) == cn, n
+            assert e1.coefficient(0, 2 * n + 1) == -cn / (2 * n + 1), n
 
 
 class TestWindows:

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qjforms import (
+    E1,
+    WP,
     BigradedSeries,
     Derivation,
     PrecisionError,
@@ -30,8 +32,7 @@ from qjforms import (
     series_mul,
     series_scale,
 )
-from qjforms import series
-from qjforms.forms import iter_terms
+from qjforms import arith, series
 
 WINDOWS = [(1, 0), (1, -2), (3, 6), (8, 16)]
 
@@ -94,7 +95,7 @@ def ref_expand(f: QJForm, q_prec: int, u_max: int) -> BigradedSeries:
     if len(f.weight_components()) > 1:
         raise ValueError("expand requires a weight-homogeneous form; split it first")
     total = BigradedSeries(0, q_prec, min(0, u_max), u_max)
-    for expos, coeff in iter_terms(f):
+    for expos, coeff in f.terms():
         total = series_add(total, series_scale(coeff, ref_monomial(expos, q_prec, u_max)))
     return total
 
@@ -135,8 +136,8 @@ class TestFusedExpand:
         assert expand(QJForm(), *window).weight == 0
 
     def test_below_a_valuation_raises_the_first_terms_error(self):
-        # Weight 6 with valuations 0, -2, -6, -6: the first term in storage
-        # order whose valuation u_max misses names it.
+        # Weight 6 with valuations 0, -2, -6, -6: the first term in the
+        # canonical order of terms() whose valuation u_max misses names it.
         f = QJForm({(0, 0, 0, 0, 3): 1, (0, 0, 1, 2, 0): 5, (0, 2, 0, 0, 0): Fraction(1, 3), (3, 0, 0, 0, 0): -1})
         for u_max in (-7, -3, -1):
             got = outcome(expand, f, 2, u_max)
@@ -220,3 +221,24 @@ class TestMemoBounds:
             assert info.misses == info.currsize < info.maxsize, (name, info)
         _oracle_sweep()
         assert [fn.cache_info().misses for fn in memos] == [info.misses for info in first]
+
+
+class TestTopWeightFirst:
+    # The Laurent generators ask _eisenstein_coeff for their top weight first,
+    # so a cold Bernoulli table is built once, at the size asked: B_0..B_k for
+    # the top weight k, and no table built on the way up is left behind.
+    @pytest.fixture(autouse=True)
+    def cold_tables(self, monkeypatch):
+        monkeypatch.setattr(arith, "_even_bernoulli", [])
+        for fn in (arith.bernoulli, series._eisenstein_coeff, series._generator_power, series._monomial_series):
+            fn.cache_clear()
+
+    def test_e1_builds_the_table_once(self):
+        # u^399 is the top of e1's window: ee_400, so B_0..B_400.
+        expand(E1, 1, 400)
+        assert len(arith._even_bernoulli) == 201
+
+    def test_wp_builds_the_table_once(self):
+        # u^400 is the top of wp's window: 401 ee_402, so B_0..B_402.
+        expand(WP, 1, 400)
+        assert len(arith._even_bernoulli) == 202
