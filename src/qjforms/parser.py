@@ -17,11 +17,10 @@ q and eis must be nonnegative integer literals.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Union
 
 from ._value import Value
-from .calculus import Bracket, Derivation, bracket, derive, eisenstein_in_generators
 from .forms import Generator, QJForm, ScaledJForm, e6_form, q_coefficient
 
 
@@ -76,22 +75,27 @@ Expr = Union[Lit, Var, Neg, Add, Sub, Mul, Pow, Call]
 _VARIABLES = {**{g.symbol: QJForm.generator(g) for g in Generator}, "e6": e6_form()}
 
 
-def _eisenstein(two_n: int) -> QJForm:
-    try:
-        return eisenstein_in_generators(two_n)
-    except ValueError as exc:
-        raise EvalError(str(exc)) from exc
-
-
 # function name -> (number of form arguments, number of trailing integer
 # arguments, implementation); the derivation and bracket names are the
-# values of their enums.
-_FUNCTIONS = {
-    **{tag.value: (1, 0, partial(derive, tag)) for tag in Derivation},
-    **{tag.value: (2, 1, partial(bracket, tag)) for tag in Bracket},
-    "q": (1, 2, q_coefficient),
-    "eis": (0, 1, _eisenstein),
-}
+# values of their enums. The table is built on the first function call, so
+# an expression without one never loads calculus.
+@lru_cache(maxsize=None)
+def _functions() -> dict:
+    from .calculus import Bracket, Derivation, bracket, derive, eisenstein_in_generators
+
+    def eisenstein(two_n: int) -> QJForm:
+        try:
+            return eisenstein_in_generators(two_n)
+        except ValueError as exc:
+            raise EvalError(str(exc)) from exc
+
+    return {
+        **{tag.value: (1, 0, partial(derive, tag)) for tag in Derivation},
+        **{tag.value: (2, 1, partial(bracket, tag)) for tag in Bracket},
+        "q": (1, 2, q_coefficient),
+        "eis": (0, 1, eisenstein),
+    }
+
 
 _SYMBOLS = "+-*^(),/"
 
@@ -240,7 +244,7 @@ class _Parser:
             self.advance()
             name = tok[1]
             if self.peek()[0] == "(":
-                if name not in _FUNCTIONS:
+                if name not in _functions():
                     raise ParseError(f"unknown function {name!r}", tok[2])
                 self.advance()
                 args: list = [(self.peek()[2], self.expr())]  # (offset, argument)
@@ -256,7 +260,7 @@ class _Parser:
         raise ParseError(f"unexpected {shown!r}", tok[2])
 
     def _make_call(self, name: str, args: list, position: int) -> Call:
-        n_forms, n_ints, _ = _FUNCTIONS[name]
+        n_forms, n_ints, _ = _functions()[name]
         if len(args) != n_forms + n_ints:
             raise ParseError(
                 f"{name} takes {n_forms + n_ints} argument(s), got {len(args)}", position
@@ -305,8 +309,8 @@ def evaluate(expr: Expr) -> QJForm | ScaledJForm:
         )
     if isinstance(expr, Pow):
         return _form_operand(evaluate(expr.base), "powers") ** expr.exponent
-    if isinstance(expr, Call) and expr.fn in _FUNCTIONS:
-        n_forms, _, implementation = _FUNCTIONS[expr.fn]
+    if isinstance(expr, Call) and expr.fn in _functions():
+        n_forms, _, implementation = _functions()[expr.fn]
         forms = [_form_operand(evaluate(arg), expr.fn) for arg in expr.args[:n_forms]]
         return implementation(*forms, *expr.args[n_forms:])
     raise EvalError(f"cannot evaluate node {expr!r}")

@@ -1,5 +1,6 @@
 """The qjalg command line interface."""
 
+import gc
 import json
 import os
 import subprocess
@@ -402,3 +403,42 @@ class TestClosedStdout:
         proc.stderr.close()
         assert proc.wait(timeout=120) in {0, 1, 2}
         assert "Traceback" not in err and err.count("error:") <= 1
+
+
+class TestProgramExit:
+    # run() is the program's entry point: it freezes the heap before the exit
+    # so that the interpreter's final collection skips it. main() never does,
+    # since tests and the benchmark call it in process.
+    ARGVS = {
+        "large": (["--json", "expand", "e1", "--qprec", "1", "--umax", "400"], 0),
+        "usage-error": (["eval"], 2),
+        "eval-error": (["weight", "0"], 1),
+    }
+    ENTRIES = {"module": ["-m", "qjforms.cli"], "run": ["-c", "from qjforms.cli import run; run()"]}
+
+    @staticmethod
+    def python(*args: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(Path(qjforms.__file__).resolve().parent.parent))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+    @pytest.mark.parametrize("argv, code", ARGVS.values(), ids=ARGVS.keys())
+    def test_main_does_not_freeze(self, capsys, argv, code):
+        before = gc.get_freeze_count()
+        assert run(capsys, *argv)[0] == code
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+    @pytest.mark.parametrize("argv, code", ARGVS.values(), ids=ARGVS.keys())
+    def test_program_prints_what_main_returns(self, capsys, entry, argv, code):
+        expected = run(capsys, *argv)
+        proc = self.python(*entry, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+        assert expected[0] == code and expected[1 if code == 0 else 2]
+
+    def test_run_freezes_and_keeps_atexit_handlers(self):
+        probe = (
+            "import atexit, gc, sys; from qjforms.cli import run; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); run()"
+        )
+        proc = self.python("-c", probe, "dim", "DS", "12")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "7\n", "frozen True\n")

@@ -156,34 +156,85 @@ class TestColdStart:
             ("qjforms.verify", "dataclasses"),
             ("qjforms.series", "qjforms.calculus"),
             ("qjforms.calculus", "qjforms.arith"),
+            ("qjforms.parser", "qjforms.calculus"),
         ],
         ids=[
             "forms-without-calculus",
             "verify-without-dataclasses",
             "series-without-calculus",
             "calculus-without-arith",
+            "parser-without-calculus",
         ],
     )
     def test_module_does_not_load(self, module, absent):
         # forms does not load calculus (no import cycle), no
         # class that verify defines is a dataclass, the series oracle does
-        # not run the derivation engine it checks, and the kernel behind an
-        # `eval` query takes its binomials from math.comb, not the arith memos.
+        # not run the derivation engine it checks, the kernel behind an
+        # `eval` query takes its binomials from math.comb, not the arith
+        # memos, and the parser loads calculus only for a function call.
         proc = python("-c", f"import sys, {module}; print({absent!r} in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @staticmethod
+    def _query(argv: list[str], modules: tuple[str, ...]) -> tuple[str, str]:
+        # Runs main(argv) in a fresh interpreter. Returns its stdout and
+        # stderr, and a line with its exit code and which of the modules it
+        # loaded.
+        probe = (
+            f"import sys, qjforms.cli; code = qjforms.cli.main({argv!r}); "
+            f"print(code, [m for m in {modules!r} if m in sys.modules])"
+        )
+        proc = python("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        *out, last = proc.stdout.splitlines()
+        return "\n".join([*out, proc.stderr.rstrip("\n")]).strip(), last
 
     @pytest.mark.parametrize(
         "argv, code", [(["dim", "DS", "12"], 0), (["--json", "dim", "table", "DSinf", "5"], 0), (["dim", "XX", "3"], 2)]
     )
     def test_dim_loads_no_expression_stack(self, argv, code):
-        probe = (
-            f"import sys, qjforms.cli; code = qjforms.cli.main({argv!r}); "
-            "print(code, [m for m in ('qjforms.forms', 'qjforms.calculus', 'qjforms.parser') if m in sys.modules])"
-        )
-        proc = python("-c", probe)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == f"{code} []"
+        _, loaded = self._query(argv, ("qjforms.forms", "qjforms.calculus", "qjforms.parser"))
+        assert loaded == f"{code} []"
+
+    @pytest.mark.parametrize(
+        "argv, code, output",
+        [
+            (["weight", "wp*e4"], 0, "6"),
+            (["depth", "wp*e1"], 0, "(0, 1)"),
+            (["eval", "wp*e4 + e1^2"], 0, "e1^2 + wp*e4"),
+            (["expand", "wp", "--qprec", "2", "--umax", "2"], 0,
+             "weight 2, q_prec 2, u in [-2, 2]\nq^0 u^-2\t1\nq^0 u^2\t1/15\nq^1 u^2\t16"),
+            (["eval", "wp +"], 2, "syntax error: unexpected 'end of input' (at offset 4)"),
+        ],
+        ids=["weight", "depth", "eval", "expand", "syntax-error"],
+    )
+    def test_query_without_a_call_loads_no_calculus(self, argv, code, output):
+        out, loaded = self._query(argv, ("qjforms.calculus",))
+        assert out == output
+        assert loaded == f"{code} []"
+
+    @pytest.mark.parametrize(
+        "argv, code, output",
+        [
+            (["eval", "dz(wp)"], 0, "dwp"),
+            (["eval", "q(e2^2, 1, 0)"], 0, "c^1 * (-2*e2)"),
+            (["eval", "eis(4)"], 0, "e4"),
+            (["eval", "foo(wp)"], 2, "syntax error: unknown function 'foo' (at offset 0)"),
+        ],
+        ids=["dz", "q", "eis", "unknown-function"],
+    )
+    def test_query_with_a_call_loads_calculus(self, argv, code, output):
+        out, loaded = self._query(argv, ("qjforms.calculus",))
+        assert out == output
+        assert loaded == f"{code} ['qjforms.calculus']"
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["dim", "DS", "12"], 0), (["eval", "dz(wp)"], 0), (["dim", "XX", "3"], 2), (["weight", "0"], 1)]
+    )
+    def test_text_query_loads_no_json(self, argv, code):
+        _, loaded = self._query(argv, ("json",))
+        assert loaded == f"{code} []"
 
     @pytest.mark.parametrize(
         "argv",
