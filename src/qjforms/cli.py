@@ -190,31 +190,35 @@ def _cmd_verify(args) -> int:
     from .verify import run_suites
 
     results = run_suites([args.suite], seed=args.seed, quick=args.quick)
-    lines: list[str] = []
-    failures: list[str] = []
-    suites_json = {}
-    for suite, checks in results.items():
-        passed = sum(1 for c in checks if c.ok)
-        failed = len(checks) - passed
-        suites_json[suite] = {
-            "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail, "seconds": c.seconds} for c in checks],
-            "passed": passed,
-            "failed": failed,
-            "seconds": sum(c.seconds for c in checks),
-        }
-        for c in checks:
-            mark = "PASS" if c.ok else "FAIL"
-            detail = f": {c.detail}" if c.detail else ""
-            lines.append(f"{mark}  {suite}/{c.name}{detail}")
-            if not c.ok:
-                failures.append(f"{suite}/{c.name}")
-        lines.append(f"suite {suite}: {passed} passed, {failed} failed")
-        if failed:
-            # Each suite seeds its own generator, so this repeats its draws.
-            lines.append(f"rerun: qjalg verify {suite} --seed {args.seed}{' --quick' if args.quick else ''}")
-    ok = not failures
-    lines.append("all checks passed" if ok else f"{len(failures)} check(s) failed")
-    return _emit(args, lambda: {"suites": suites_json}, lambda: "\n".join(lines), ok=ok, errors=failures)
+    failures = [f"{suite}/{c.name}" for suite, checks in results.items() for c in checks if not c.ok]
+
+    def result() -> dict:
+        suites = {}
+        for suite, checks in results.items():
+            passed = sum(1 for c in checks if c.ok)
+            suites[suite] = {
+                "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail, "seconds": c.seconds} for c in checks],
+                "passed": passed,
+                "failed": len(checks) - passed,
+                "seconds": sum(c.seconds for c in checks),
+            }
+        return {"suites": suites}
+
+    def text() -> str:
+        lines = []
+        for suite, checks in results.items():
+            for c in checks:
+                detail = f": {c.detail}" if c.detail else ""
+                lines.append(f"{'PASS' if c.ok else 'FAIL'}  {suite}/{c.name}{detail}")
+            failed = sum(1 for c in checks if not c.ok)
+            lines.append(f"suite {suite}: {len(checks) - failed} passed, {failed} failed")
+            if failed:
+                # Each suite seeds its own generator, so this repeats its draws.
+                lines.append(f"rerun: qjalg verify {suite} --seed {args.seed}{' --quick' if args.quick else ''}")
+        lines.append(f"{len(failures)} check(s) failed" if failures else "all checks passed")
+        return "\n".join(lines)
+
+    return _emit(args, result, text, ok=not failures, errors=failures)
 
 
 def _suite_name(name: str) -> str:
@@ -314,8 +318,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _parse(argv: list[str], args: argparse.Namespace) -> None:
+    parser = _build_parser()
     try:
-        _build_parser().parse_args(argv, namespace=args)
+        parser.parse_args(argv, namespace=args)
     except UsageError as exc:
         # argparse reads a token that starts with '-' as an option, so an
         # expression such as -dwp fails: name the first one that -- lets through.
@@ -326,7 +331,7 @@ def _parse(argv: list[str], args: argparse.Namespace) -> None:
                 continue
             fixed = [*argv[:i], "--", *argv[i:]]
             try:
-                _build_parser().parse_args(fixed)
+                parser.parse_args(fixed)
             except UsageError:
                 continue
             hint = f"{token!r} reads as an option, so put -- before it: {shlex.join(['qjalg', *fixed])}"

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import product
 from math import comb, factorial, lcm
-from operator import add, mul
+from operator import add
 from time import perf_counter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
@@ -389,7 +389,18 @@ def suite_stability(rng: random.Random, quick: bool = False) -> list[Check]:
 # derivations BRACKET_DERIVATIONS[tag] (commutation:dz_dtau), so a law of
 # brackets holds in every algebra with them when its symbol vanishes: give each
 # base form a variable per derivation, and read D^a of a product of base forms
-# as the powers a of the sums of their variables.
+# as the powers a of the sums of their variables.  A symbol monomial is one int
+# key with a _WIDTH-bit exponent field per variable, so a product of monomials
+# is a sum of keys.
+_WIDTH = 8
+_MASK = (1 << _WIDTH) - 1
+
+
+def _field(key: int, v: int) -> int:
+    """The exponent of variable v in a symbol key."""
+    return key >> _WIDTH * v & _MASK
+
+
 def _poly_sum(terms: Iterable[tuple[int, dict]]) -> dict:
     out: dict = {}
     for c, poly in terms:
@@ -399,22 +410,22 @@ def _poly_sum(terms: Iterable[tuple[int, dict]]) -> dict:
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
-    return _poly_sum((c, {tuple(map(add, m, m2)): v for m2, v in q.items()}) for m, c in p.items())
+    return _poly_sum((c, {m + m2: v for m2, v in q.items()}) for m, c in p.items())
 
 
 @cache  # a few dozen entries over the laws below; callers never mutate them
-def _sum_power(size: int, variables: tuple[int, ...], p: int) -> dict:
-    units = {tuple(int(i == v) for i in range(size)): 1 for v in variables}
-    return _poly_mul(_sum_power(size, variables, p - 1), units) if p else {(0,) * size: 1}
+def _sum_power(variables: tuple[int, ...], p: int) -> dict:
+    units = {1 << _WIDTH * v: 1 for v in variables}
+    return _poly_mul(_sum_power(variables, p - 1), units) if p else {0: 1}
 
 
-def _symbol_bracket(tag: Bracket, x: tuple, y: tuple, n: int, size: int, memo: dict) -> tuple:
+def _symbol_bracket(tag: Bracket, x: tuple, y: tuple, n: int, memo: dict) -> tuple:
     """The order-n bracket of symbols (polynomial, variables per derivation, weight); order 0 is the product."""
     (p, xs, k), (q, ys, l) = x, y
     if (key := (tag, k, l, n, xs, ys)) not in memo:  # the bracket over the polynomials of x and y
-        one, powers = (0,) * len(xs), partial(_sum_power, size)
+        one = (0,) * len(xs)
         terms = bracket_terms(tag, k, l, n) if n else [(1, one, one)]
-        memo[key] = _poly_sum((c, reduce(_poly_mul, map(powers, xs + ys, a + b))) for c, a, b in terms)
+        memo[key] = _poly_sum((c, reduce(_poly_mul, map(_sum_power, xs + ys, a + b))) for c, a, b in terms)
     return _poly_mul(_poly_mul(p, q), memo[key]), tuple(map(add, xs, ys)), k + l + BRACKET_WEIGHT_SHIFT[tag] * n
 
 
@@ -423,13 +434,17 @@ def _decide(failure: str, tags: Iterable[Bracket], orders: range, arity: int, la
 
     Each coefficient of bracket_terms(tag, k, l, n) has degree <= n in k and in l, so a law of order n has
     symbol coefficients of degree <= n in each weight, and it holds at every weight when it holds on the grid.
+    An exponent in the symbols of a law of order n is at most max(n, 2), the 2 from phi^2 in theta_tower, so
+    every exponent fits its key field when the top order does.
     """
+    if max(orders) >> _WIDTH:
+        raise ValueError(f"order {max(orders)} passes the {_WIDTH}-bit exponent field of a symbol key")
     memo: dict = {}
     for tag, n in product(tags, orders):
         d = len(BRACKET_DERIVATIONS[tag])
-        symbol_bracket = partial(_symbol_bracket, tag, size=d * arity, memo=memo)
+        symbol_bracket = partial(_symbol_bracket, tag, memo=memo)
         for weights in product(range(n + 1), repeat=arity):
-            bases = [({(0,) * d * arity: 1}, tuple((i * d + j,) for j in range(d)), w) for i, w in enumerate(weights)]
+            bases = [({0: 1}, tuple((i * d + j,) for j in range(d)), w) for i, w in enumerate(weights)]
             if law(tag, symbol_bracket, bases, n):
                 return f"{tag} {failure} at n={n}, weights {weights}"
     return None
@@ -454,7 +469,7 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
 
     # Cayley's Omega-process: D = dtau and Z = dz commute, so tv_n = mu (D x Z - Z x D)^n when this symbol vanishes.
     def binomial_table(tag: Bracket, b: Callable, bases: list, n: int) -> dict:
-        omega = {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}  # x_D*y_Z - x_Z*y_D
+        omega = {1 | 1 << 3 * _WIDTH: 1, 1 << _WIDTH | 1 << 2 * _WIDTH: -1}  # x_D*y_Z - x_Z*y_D
         return _poly_sum([(1, b(*bases, n)[0]), (-1, reduce(_poly_mul, [omega] * n))])
 
     # With d = D + (e1/4)*Z and E = e1 x 1 - 1 x e1, D x Z - Z x D = d x Z - Z x d - E*(Z x Z)/4.  Moved to the left,
@@ -487,16 +502,16 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
         # Zagier's canonical Rankin-Cohen algebra.  In the free differential
         # algebra of f, g and phi, with theta h = D h - (wt h)*phi*h and
         # Phi = phi^2 - D phi, f_0 = f and f_(r+1) = theta f_r - r(k+r-1)*Phi*f_(r-1)
-        # give [f, g]_n = sum of c*f_i*g_j over bracket_terms.  A monomial holds the
-        # power of D^p of the s-th of f, g, phi at s*(n+1) + p (only p < n is
+        # give [f, g]_n = sum of c*f_i*g_j over bracket_terms.  A key holds the
+        # power of D^p of the s-th of f, g, phi in field s*(n+1) + p (only p < n is
         # differentiated); c and f_i have degrees n - i and <= i in k, and c and
         # g_j degrees i and <= n - i in l, so the weight grid decides it.
         (*_, k), (*_, l), size = *bases, 3 * (n + 1)
-        var = [{tuple(int(i == v) for i in range(size)): 1} for v in range(size)]
+        var = [{1 << _WIDTH * v: 1} for v in range(size)]
 
-        def d(p: dict) -> dict:  # D^p x -> D^(p+1) x by the Leibniz rule
-            return _poly_sum((c * e, {m[:v] + (e - 1, m[v + 1] + 1) + m[v + 2:]: 1}) for m, c in p.items()
-                             for v, e in enumerate(m) if e)
+        def d(p: dict) -> dict:  # D^p x -> D^(p+1) x by the Leibniz rule, adding -1 at v and +1 at v + 1 to a key
+            return _poly_sum((c * e, {m + (_MASK << _WIDTH * v): 1}) for m, c in p.items()
+                             for v in range(size) if (e := _field(m, v)))
 
         phi, fs, gs = var[2 * (n + 1)], [var[0]], [var[n + 1]]
         big_phi = _poly_sum([(1, _poly_mul(phi, phi)), (-1, d(phi))])
@@ -541,7 +556,8 @@ def suite_brackets(rng: random.Random, quick: bool = False) -> list[Check]:
     def wrong_weight(tag: Bracket, b: Callable, bases: list, n: int) -> dict:
         # Each variable weighs its derivation's shift (weight_shift:derivations).
         w = [DERIVATION_WEIGHT_SHIFT[d] for d in BRACKET_DERIVATIONS[tag]] * 2
-        return {m: c for m, c in b(*bases, n)[0].items() if sum(map(mul, m, w)) != BRACKET_WEIGHT_SHIFT[tag] * n}
+        return {m: c for m, c in b(*bases, n)[0].items()
+                if sum(s * _field(m, v) for v, s in enumerate(w)) != BRACKET_WEIGHT_SHIFT[tag] * n}
 
     rec.check("symmetry:minus_one_n", partial(_decide, "symmetry fails", Bracket, range(1, 4), 2, asymmetry))
     rec.check("weight_shift:brackets", partial(_decide, "weight shift wrong", Bracket, range(1, 4), 2, wrong_weight))

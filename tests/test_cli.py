@@ -310,6 +310,23 @@ class TestVerifyCommand:
         code, again, _ = run(capsys, "verify", "brackets", "--seed", "5", "--quick")
         assert code == 1 and fail in again.splitlines()
 
+    def test_text_mode_builds_no_json_result(self, capsys, monkeypatch):
+        # A check whose run time, which only the JSON result reports, raises when read.
+        class Untimed:
+            name, ok, detail = "law", False, "broken"
+
+            @property
+            def seconds(self):
+                raise AssertionError("text mode read a check's seconds")
+
+        monkeypatch.setattr(verify, "run_suites", lambda names, seed, quick: {"brackets": [Untimed()]})
+        code, out, err = run(capsys, "verify", "brackets")
+        assert code == 1 and err == "error: brackets/law\n"
+        assert out == (
+            "FAIL  brackets/law: broken\nsuite brackets: 0 passed, 1 failed\n"
+            "rerun: qjalg verify brackets --seed 20240801\n1 check(s) failed\n"
+        )
+
     def test_unknown_suite_is_usage_error(self, capsys):
         code, payload, err = run_json(capsys, "verify", "bogus")
         assert code == 2
@@ -363,6 +380,15 @@ class TestRejectedCommandLines:
             assert json.loads(out) == {"ok": False, "result": None, "errors": [err[len("error: ") : -1]]}
         else:
             assert out == ""
+
+    @pytest.mark.parametrize("argv", [["eval", "-dwp"], ["member", "M", "-dwp"]], ids=["eval", "member"])
+    def test_retries_reuse_the_parser(self, capsys, monkeypatch, argv):
+        # The first parse and every retry with -- run on one parser.
+        built, build = [], cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: built.append(argv) or build())
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "reads as an option, so put -- before it" in err
+        assert len(built) == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -124,6 +124,21 @@ class TestOracleIndependence:
         assert names.isdisjoint({"_add_product", "sum_of_products", "leibniz", "_make"})
 
 
+class TestSymbolEngineIndependence:
+    # verify decides the bracket laws on symbols with its own packed keys, so
+    # it names nothing of the exponent packing of the form kernel it checks.
+    PACKING = {"_pack", "_unpack", "_FIELD_BITS", "_SHIFTS", "_UNITS", "MAX_EXPONENT"}
+    ENGINE = {"_field", "_poly_sum", "_poly_mul", "_sum_power", "_symbol_bracket", "_decide"}
+
+    def test_verify_names_no_kernel_packing(self):
+        tree = ast.parse(Path(SRC, "qjforms", "verify.py").read_text())
+        assert self.ENGINE <= {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+        assert names.isdisjoint(self.PACKING)
+
+
 class TestLayering:
     def test_forms_imports_nothing_from_calculus(self):
         # At any scope: test_module_does_not_load cannot see an import made

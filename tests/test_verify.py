@@ -2,12 +2,15 @@
 
 import json
 import random
+from functools import cache, partial, reduce
+from itertools import product
 from math import comb, lcm
+from operator import add
 
 import pytest
 
 from qjforms import calculus, dimensions, series, verify
-from qjforms.calculus import Algebra, Bracket, Derivation, derive
+from qjforms.calculus import BRACKET_DERIVATIONS, BRACKET_WEIGHT_SHIFT, Algebra, Bracket, Derivation, derive
 from qjforms.cli import main
 from qjforms.dimensions import FAMILY_WEIGHTS, DimFamily
 from qjforms.forms import DWP, E1, E2, E4, WP, image_table
@@ -325,6 +328,78 @@ def test_decided_bracket_checks_draw_no_forms(run_spied_suites):
     assert all(checks[name].ok for name in DECIDED_BRACKET_CHECKS)
     assert "tv:recurrence_equals_formula" in drawing  # the spy sees the sampled checks draw
     assert drawing.isdisjoint(DECIDED_BRACKET_CHECKS) and None not in drawing
+
+
+# The tuple-key symbol engine that packed keys replaced, kept as the
+# reference: a monomial is a tuple with one exponent per variable.
+def ref_poly_sum(terms):
+    out = {}
+    for c, poly in terms:
+        for m, v in poly.items():
+            out[m] = out.get(m, 0) + c * v
+    return {m: v for m, v in out.items() if v}
+
+
+def ref_poly_mul(p, q):
+    return ref_poly_sum((c, {tuple(map(add, m, m2)): v for m2, v in q.items()}) for m, c in p.items())
+
+
+@cache
+def ref_sum_power(size, variables, p):
+    units = {tuple(int(i == v) for i in range(size)): 1 for v in variables}
+    return ref_poly_mul(ref_sum_power(size, variables, p - 1), units) if p else {(0,) * size: 1}
+
+
+def ref_symbol_bracket(tag, x, y, n, size):
+    (p, xs, k), (q, ys, l) = x, y
+    one = (0,) * len(xs)
+    terms = calculus.bracket_terms(tag, k, l, n) if n else [(1, one, one)]
+    powers = partial(ref_sum_power, size)
+    symbol = ref_poly_sum((c, reduce(ref_poly_mul, map(powers, xs + ys, a + b))) for c, a, b in terms)
+    return ref_poly_mul(ref_poly_mul(p, q), symbol), tuple(map(add, xs, ys)), k + l + BRACKET_WEIGHT_SHIFT[tag] * n
+
+
+@pytest.mark.parametrize("tag", list(Bracket), ids=[tag.value for tag in Bracket])
+def test_packed_symbols_match_the_tuple_reference(tag):
+    # Every order <= 3 at every weight point, for a bracket of base forms and
+    # for both nestings of two brackets, as in associativity and the e1 transfer.
+    d = len(BRACKET_DERIVATIONS[tag])
+    size, memo = 3 * d, {}
+
+    def unpacked(symbol):
+        poly, xs, weight = symbol
+        field = (1 << verify._WIDTH) - 1
+        return {tuple(m >> verify._WIDTH * v & field for v in range(size)): c for m, c in poly.items()}, xs, weight
+
+    def symbols(b, f, g, h, n):
+        return [b(f, g, n)] + [s for r in range(n + 1) for s in (b(b(f, g, r), h, n - r), b(f, b(g, h, r), n - r))]
+
+    for n in range(4):
+        for weights in product(range(n + 1), repeat=3):
+            packed = [({0: 1}, tuple((i * d + j,) for j in range(d)), w) for i, w in enumerate(weights)]
+            ref = [({(0,) * size: 1}, xs, w) for _, xs, w in packed]
+            got = symbols(partial(verify._symbol_bracket, tag, memo=memo), *packed, n)
+            expected = symbols(partial(ref_symbol_bracket, tag, size=size), *ref, n)
+            assert [unpacked(s) for s in got] == expected, (n, weights)
+
+
+def test_an_order_past_the_key_field_fails_its_check():
+    # Left unchecked, an exponent past the field would carry into the next
+    # variable's field; the check stands under python -O, unlike an assert.
+    def nonzero(tag, b, bases, n):
+        return {0: 1}
+
+    top = 1 << verify._WIDTH
+    rec = verify._Recorder()
+    rec.check("oversized", partial(verify._decide, "law fails", [Bracket.TV], range(1, top + 1), 2, nonzero))
+    (check,) = rec.checks
+    assert not check.ok
+    assert check.detail == (
+        f"raised ValueError: order {top} passes the {verify._WIDTH}-bit exponent field of a symbol key"
+    )
+    assert verify._decide("law fails", [Bracket.TV], range(1, top), 2, nonzero) == (
+        "Bracket.TV law fails at n=1, weights (0, 0)"
+    )
 
 
 def test_five_bracket_cells_are_open():
