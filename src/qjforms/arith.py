@@ -43,9 +43,9 @@ def bernoulli(n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def sigma(k: int, n: int) -> int:
-    """Divisor power sum: sum of d^(k-1) over the divisors d of n (n >= 1)."""
-    if n < 1:
-        raise ValueError("sigma(k, n) requires n >= 1")
+    """Divisor power sum: sum of d^(k-1) over the divisors d of n (k >= 1, n >= 1)."""
+    if k < 1 or n < 1:
+        raise ValueError("sigma(k, n) requires k >= 1 and n >= 1")
     total = 0
     d = 1
     while d * d <= n:

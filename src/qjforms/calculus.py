@@ -34,9 +34,9 @@ from .forms import (
     ZERO,
     Exponents,
     Generator,
+    ImageTable,
     QJForm,
     e6_form,
-    image_table,
     leibniz,
     sum_of_products,
 )
@@ -92,11 +92,11 @@ _DJAC_IMAGES = tuple(t + _QUARTER * (E1 * z) for t, z in zip(_DTAU_IMAGES, _DZ_I
 _DELTA_IMAGES = tuple(Fraction(w, 2) * x for w, x in zip(GENERATOR_WEIGHTS, _GENERATORS))
 
 _TABLES = {
-    Derivation.DZ: image_table(_DZ_IMAGES),
-    Derivation.DTAU: image_table(_DTAU_IMAGES),
-    Derivation.OB: image_table(_OB_IMAGES),
-    Derivation.DJAC: image_table(_DJAC_IMAGES),
-    Derivation.DELTA: image_table(_DELTA_IMAGES),
+    Derivation.DZ: ImageTable(_DZ_IMAGES),
+    Derivation.DTAU: ImageTable(_DTAU_IMAGES),
+    Derivation.OB: ImageTable(_OB_IMAGES),
+    Derivation.DJAC: ImageTable(_DJAC_IMAGES),
+    Derivation.DELTA: ImageTable(_DELTA_IMAGES),
 }
 
 

@@ -208,7 +208,9 @@ class QJForm:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((frozenset(self._num.items()), self._den))
+            # A constant equals its Fraction value, so it hashes like it.
+            num, den = self._num, self._den
+            self._hash = hash(Fraction(num.get(0, 0), den) if num.keys() <= {0} else (frozenset(num.items()), den))
         return self._hash
 
     def __pos__(self) -> "QJForm":
@@ -382,29 +384,37 @@ def sum_of_products(terms: Iterable[tuple[Scalar, QJForm, QJForm]]) -> QJForm:
 # Derivative rows one ImageTable memoises before it empties its memo.  The
 # largest working set measured is about 4,000 rows of the dtau table in
 # ``qjalg verify all`` (the five tables together about 9,200, and 1,900 on
-# the bench ``brackets`` workload); a row costs about 300 bytes.
+# the bench ``brackets`` workload); a row costs about 400 bytes.
 DERIVATIVE_ROWS_SIZE = 8192
 
 
 class ImageTable:
-    """The generator images of one derivation, packed by :func:`image_table` for :func:`leibniz`.
+    """The images of wp, dwp, e4, e1, e2 under one derivation, packed for :func:`leibniz`.
+
+    The table keeps one common denominator ``den`` and, in ``images``, per
+    generator with a nonzero image, (field shift, image numerators over
+    ``den`` as (key offset, numerator) pairs).  A key offset is an image key
+    minus the generator's unit key: added to a monomial with a positive
+    exponent of that generator, it borrows from no field.
 
     ``rows`` memoises the derivative row of each monomial met so far: its
-    whole derivative as merged (key offset, multiplier) pairs over ``den``,
-    stored as one offset tuple, shared between the rows that have the same
-    offsets, and one multiplier tuple.  It holds at most
-    :data:`DERIVATIVE_ROWS_SIZE` rows and is emptied when full.
+    whole derivative as one tuple of merged (key offset, multiplier) pairs
+    over ``den``, the empty tuple when the derivative is zero.  It holds at
+    most :data:`DERIVATIVE_ROWS_SIZE` rows and is emptied when full.
     """
 
-    __slots__ = ("den", "images", "rows", "_offsets")
+    __slots__ = ("den", "images", "rows")
 
-    def __init__(self, den: int, images: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]):
-        self.den = den
-        self.images = images
-        self.rows: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self._offsets: dict[tuple[int, ...], tuple[int, ...]] = {}
+    def __init__(self, images: Sequence[QJForm]):
+        self.den = den = lcm(*(img._den for img in images))
+        self.images = tuple(
+            (shift, tuple((k - unit, n * (den // img._den)) for k, n in img._num.items()))
+            for shift, unit, img in zip(_SHIFTS, _UNITS, images)
+            if img
+        )
+        self.rows: dict[int, tuple[tuple[int, int], ...]] = {}
 
-    def row(self, key: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def row(self, key: int) -> tuple[tuple[int, int], ...]:
         """Build and memoise the derivative row of the monomial ``key`` (on a miss in ``rows``)."""
         merged: dict[int, int] = {}
         get = merged.get
@@ -415,47 +425,28 @@ class ImageTable:
                     merged[o] = get(o, 0) + p * iv
         if 0 in merged.values():
             merged = {o: m for o, m in merged.items() if m}
-        offsets = tuple(merged)
         if len(self.rows) >= DERIVATIVE_ROWS_SIZE:
             self.rows.clear()
-            self._offsets.clear()
-        row = self._offsets.setdefault(offsets, offsets), tuple(merged.values())
-        self.rows[key] = row
+        row = self.rows[key] = tuple(merged.items())
         return row
-
-
-def image_table(images: Sequence[QJForm]) -> ImageTable:
-    """Pack the images of wp, dwp, e4, e1, e2 for :func:`leibniz`.
-
-    The table keeps one common denominator and, per generator with a nonzero
-    image, (field shift, image numerators over that denominator as (key
-    offset, numerator) pairs).  A key offset is an image key minus the
-    generator's unit key: added to a monomial with a positive exponent of
-    that generator, it borrows from no field.  The row memo starts empty.
-    """
-    den = lcm(*(img._den for img in images))
-    packed = tuple(
-        (shift, tuple((k - unit, n * (den // img._den)) for k, n in img._num.items()))
-        for shift, unit, img in zip(_SHIFTS, _UNITS, images)
-        if img
-    )
-    return ImageTable(den, packed)
 
 
 def leibniz(table: ImageTable, f: QJForm) -> QJForm:
     """The derivation with the given generator images, extended to f by the Leibniz rule.
 
     Each term adds its monomial's derivative row (:meth:`ImageTable.row`),
-    scaled by its numerator, so a monomial seen before costs one lookup and
-    one accumulation per distinct output monomial, whichever generators
-    reach it.
+    scaled by its numerator, so a monomial seen before, even one whose row
+    is empty, costs one lookup and one accumulation per distinct output
+    monomial, whichever generators reach it.
     """
     rows = table.rows
     out: dict[int, int] = {}
     get = out.get
     for key, c in f._num.items():
-        offsets, mults = rows.get(key) or table.row(key)
-        for o, m in zip(offsets, mults):
+        row = rows.get(key)
+        if row is None:
+            row = table.row(key)
+        for o, m in row:
             k = key + o
             out[k] = get(k, 0) + c * m
     return _make(_check_guard(out), f._den * table.den)

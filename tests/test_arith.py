@@ -117,6 +117,15 @@ class TestSigma:
         with pytest.raises(ValueError):
             sigma(2, 0)
 
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_power_below_one_rejected(self, k):
+        # d^(k-1) would be a float for k < 1, so there is no exact value.
+        with pytest.raises(ValueError, match="k >= 1"):
+            sigma(k, 6)
+
+    def test_power_one_counts_divisors(self):
+        assert sigma(1, 12) == 6 and type(sigma(1, 12)) is int
+
 
 class TestBinomial:
     def test_examples(self):

@@ -413,22 +413,33 @@ class TestRejectedCommandLines:
 
 
 class TestClosedStdout:
+    @staticmethod
+    def read_then_close(argv: list[str], size: int) -> tuple[int, str]:
+        """Start `qjalg argv`, read at most `size` bytes of one line, close its stdout; return (exit code, stderr)."""
+        env = dict(os.environ, PYTHONPATH=str(Path(qjforms.__file__).resolve().parent.parent))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qjforms.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        proc.stdout.readline(size)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        return proc.wait(timeout=120), err
+
     @pytest.mark.parametrize(
         "argv", [["dim", "table", "DS", "100000"], ["--json", "dim", "table", "DS", "100000"]], ids=["text", "json"]
     )
     def test_no_traceback(self, argv):
         # The reader goes away after one line (at most 64 bytes of the
         # one-line JSON envelope), as `qjalg ... | head -1` does.
-        env = dict(os.environ, PYTHONPATH=str(Path(qjforms.__file__).resolve().parent.parent))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "qjforms.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
-        )
-        proc.stdout.readline(64)
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        proc.stderr.close()
-        assert proc.wait(timeout=120) in {0, 1, 2}
+        code, err = self.read_then_close(argv, 64)
+        assert code in {0, 1, 2}
         assert "Traceback" not in err and err.count("error:") <= 1
+
+    def test_closed_stdout_exits_one_with_one_line(self):
+        # The table is far larger than a pipe's buffer, so a write after the
+        # reader has gone fails, and main reports that in one line.
+        assert self.read_then_close(["dim", "table", "DS", "200000"], 8) == (1, "error: standard output was closed\n")
 
 
 class TestProgramExit:

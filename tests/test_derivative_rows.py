@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from qjforms import Derivation, QJForm, calculus, derive, forms, monomials_of_weight
+from qjforms import DWP, E2, E4, WP, Derivation, QJForm, calculus, derive, forms, monomials_of_weight
 from qjforms.forms import DERIVATIVE_ROWS_SIZE, MAX_EXPONENT, _pack
 
 from test_kernel import canonical, nonzero, raw_forms, ref, ref_derive
@@ -68,12 +68,22 @@ def test_overflow_raises_with_the_row_new_and_memoised(tag, expos):
     assert len(rows) == 1
 
 
-def test_rows_with_equal_offsets_share_them():
+def test_empty_rows_are_memoised(monkeypatch):
+    # dz kills e4 and e2, so the row of e4^3*e2 is empty, and a later call
+    # must read it as a hit, not build it again.
     _cold()
-    derive(Derivation.DZ, QJForm.monomial((2, 0, 0, 0, 0)) + QJForm.monomial((5, 0, 0, 0, 0)))
+    f = WP**2 + E4**3 * E2
+    derive(Derivation.DZ, f)
     rows = calculus._TABLES[Derivation.DZ].rows
-    (offsets2, mults2), (offsets5, mults5) = rows[_pack((2, 0, 0, 0, 0))], rows[_pack((5, 0, 0, 0, 0))]
-    assert offsets2 is offsets5 and (mults2, mults5) == ((2,), (5,))
+    assert rows[_pack((0, 0, 3, 0, 1))] == ()
+    ((offset, mult),) = rows[_pack((2, 0, 0, 0, 0))]
+    assert (_pack((2, 0, 0, 0, 0)) + offset, mult) == (_pack((1, 1, 0, 0, 0)), 2)
+    built = []
+    row = forms.ImageTable.row
+    monkeypatch.setattr(forms.ImageTable, "row", lambda table, key: built.append(key) or row(table, key))
+    derive.cache_clear()
+    assert derive(Derivation.DZ, f) == 2 * WP * DWP
+    assert built == []
 
 
 def _feed_rising_weights(tag, bound):

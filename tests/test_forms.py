@@ -85,6 +85,19 @@ class TestArithmetic:
         g = E4 * WP + E2 + E2
         assert f == g and hash(f) == hash(g)
 
+    @pytest.mark.parametrize("value", [0, 3, Fraction(1, 2), Fraction(-7, 3)])
+    def test_constant_hashes_like_its_value(self, value):
+        # A constant form equals its value, so sets and dicts must find either by the other.
+        for form in (QJForm.constant(value), (WP + value) - WP, QJForm({(0, 0, 0, 0, 0): value})):
+            assert form == value and hash(form) == hash(value)
+            assert value in {form} and form in {value}
+            assert {form: "form"}[value] == "form" and {value: "value"}[form] == "value"
+        assert (ZERO in {0}, 0 in {ZERO}, ONE in {1}, Fraction(1) in {ONE}) == (True, True, True, True)
+
+    def test_nonconstant_hash_is_unchanged(self):
+        for f in (WP, 3 + Fraction(1, 2) * E2, WP * E4 - Fraction(5, 6) * E1**2 + 1):
+            assert hash(f) == hash((frozenset(f._num.items()), f._den))
+
 
 class TestGrading:
     def test_weight_components_single(self):

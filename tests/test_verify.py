@@ -13,7 +13,7 @@ from qjforms import calculus, dimensions, series, verify
 from qjforms.calculus import BRACKET_DERIVATIONS, BRACKET_WEIGHT_SHIFT, Algebra, Bracket, Derivation, derive
 from qjforms.cli import main
 from qjforms.dimensions import FAMILY_WEIGHTS, DimFamily
-from qjforms.forms import DWP, E1, E2, E4, WP, image_table
+from qjforms.forms import DWP, E1, E2, E4, WP, ImageTable
 from qjforms.series import BigradedSeries
 
 # Per suite: a callee that raises, the exception, and the prefixes of the
@@ -124,7 +124,7 @@ def perturbed_checks(suite, tag, index, term) -> dict:
     saved = calculus._TABLES[tag]
     derive.cache_clear()
     try:
-        calculus._TABLES[tag] = image_table(images)
+        calculus._TABLES[tag] = ImageTable(images)
         return {c.name: c for c in suite(random.Random(0), True)}
     finally:
         calculus._TABLES[tag] = saved
