@@ -4,7 +4,7 @@
 class is created, a cost no bytecode cache removes; on a one-shot ``qjalg``
 query it outweighed the query's own work.  A subclass names its fields in
 ``__slots__``.  Two values are equal when they have the same type and equal
-fields, so ``Add(a, b) != Sub(a, b)``.
+fields, so ``Sum(t) != Product(t)``.
 """
 
 

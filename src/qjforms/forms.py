@@ -255,6 +255,8 @@ class QJForm:
     def __pow__(self, n: int) -> "QJForm":
         if not isinstance(n, int) or n < 0:
             raise ValueError("QJForm exponents are nonnegative integers")
+        if self._num.keys() <= {0}:  # a constant: one Fraction power, not n products
+            return QJForm.constant(Fraction(self._num.get(0, 0), self._den) ** n)
         # Each field's top exponent in f^n is n times its top exponent in f.
         if n * max((max(_unpack(k)) for k in self._num), default=0) > MAX_EXPONENT:
             raise ValueError(f"exponent above {MAX_EXPONENT} in a product")
@@ -382,9 +384,9 @@ def sum_of_products(terms: Iterable[tuple[Scalar, QJForm, QJForm]]) -> QJForm:
 
 
 # Derivative rows one ImageTable memoises before it empties its memo.  The
-# largest working set measured is about 4,000 rows of the dtau table in
-# ``qjalg verify all`` (the five tables together about 9,200, and 1,900 on
-# the bench ``brackets`` workload); a row costs about 400 bytes.
+# working sets measured: 1,593 rows over the five tables after
+# ``qjalg verify all`` (dtau the largest, 596), and 1,890 after a 40 s run of
+# the bench ``brackets`` workload (dtau 792); a row costs about 400 bytes.
 DERIVATIVE_ROWS_SIZE = 8192
 
 

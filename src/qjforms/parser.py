@@ -9,19 +9,22 @@ Grammar (whitespace insensitive, identifiers case insensitive):
     atom     := rational | IDENT | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
     rational := INT ("/" INT)?
 
-Precedence is ^ over unary minus over * over binary +/-; +, - and * are left
-associative.  Exponents and the trailing integer arguments of rc, rcd, tv,
+Precedence is ^ over unary minus over * over binary +/-.  A run of + and -
+is one n-ary ``Sum`` of (sign, operand) pairs and a run of * one ``Product``,
+so a flat sum or product of any length adds no nesting; unary minus is a
+one-term ``Sum``.  Exponents and the trailing integer arguments of rc, rcd, tv,
 q and eis must be nonnegative integer literals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import mul
 from typing import Union
 
 from ._value import Value
-from .forms import Generator, QJForm, ScaledJForm, e6_form, q_coefficient
+from .forms import ONE, Generator, QJForm, ScaledJForm, e6_form, q_coefficient, sum_of_products
 
 
 class ParseError(ValueError):
@@ -45,20 +48,12 @@ class Var(Value):
     __slots__ = ("name",)
 
 
-class Neg(Value):
-    __slots__ = ("operand",)
+class Sum(Value):
+    __slots__ = ("terms",)  # tuple of (sign 1 or -1, Expr)
 
 
-class Add(Value):
-    __slots__ = ("left", "right")
-
-
-class Sub(Value):
-    __slots__ = ("left", "right")
-
-
-class Mul(Value):
-    __slots__ = ("left", "right")
+class Product(Value):
+    __slots__ = ("factors",)  # tuple of Expr
 
 
 class Pow(Value):
@@ -69,7 +64,7 @@ class Call(Value):
     __slots__ = ("fn", "args")  # args: tuple of Expr, then trailing ints
 
 
-Expr = Union[Lit, Var, Neg, Add, Sub, Mul, Pow, Call]
+Expr = Union[Lit, Var, Sum, Product, Pow, Call]
 
 # variable name -> form
 _VARIABLES = {**{g.symbol: QJForm.generator(g) for g in Generator}, "e6": e6_form()}
@@ -160,25 +155,25 @@ class _Parser:
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return node
 
+    # A run of one operand stays that operand, so q(...) stays valid at top level.
     def expr(self) -> Expr:
-        node = self.term()
+        terms = [(1, self.term())]
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            sign = 1 if self.advance()[0] == "+" else -1
+            terms.append((sign, self.term()))
+        return Sum(tuple(terms)) if len(terms) > 1 else terms[0][1]
 
     def term(self) -> Expr:
-        node = self.unary()
+        factors = [self.unary()]
         while self.peek()[0] == "*":
             self.advance()
-            node = Mul(node, self.unary())
-        return node
+            factors.append(self.unary())
+        return Product(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def unary(self) -> Expr:
         if self.peek()[0] == "-":
             self.advance()
-            return Neg(self.unary())
+            return Sum(((-1, self.unary()),))
         return self.power()
 
     def power(self) -> Expr:
@@ -293,20 +288,11 @@ def evaluate(expr: Expr) -> QJForm | ScaledJForm:
         return QJForm.constant(expr.value)
     if isinstance(expr, Var):
         return _VARIABLES[expr.name]
-    if isinstance(expr, Neg):
-        return -1 * _form_operand(evaluate(expr.operand), "negation")
-    if isinstance(expr, Add):
-        return _form_operand(evaluate(expr.left), "addition") + _form_operand(
-            evaluate(expr.right), "addition"
-        )
-    if isinstance(expr, Sub):
-        return _form_operand(evaluate(expr.left), "subtraction") - _form_operand(
-            evaluate(expr.right), "subtraction"
-        )
-    if isinstance(expr, Mul):
-        return _form_operand(evaluate(expr.left), "multiplication") * _form_operand(
-            evaluate(expr.right), "multiplication"
-        )
+    if isinstance(expr, Sum):
+        # One numerator dict and one canonicalisation for the whole run.
+        return sum_of_products((s, _form_operand(evaluate(term), "sums or negation"), ONE) for s, term in expr.terms)
+    if isinstance(expr, Product):
+        return reduce(mul, (_form_operand(evaluate(factor), "products") for factor in expr.factors))
     if isinstance(expr, Pow):
         return _form_operand(evaluate(expr.base), "powers") ** expr.exponent
     if isinstance(expr, Call) and expr.fn in _functions():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,15 @@ class TestEval:
         code, payload, err = run_json(capsys, "eval", "²")
         assert code == 2 and payload == {"ok": False, "result": None, "errors": [message]}
         assert err == f"syntax error: {message}\n"
+
+    def test_large_form_reads_back(self, capsys):
+        # A printed form of 2002 terms is one flat sum, so it evaluates under
+        # the default recursion limit.
+        f = parse_and_evaluate("(wp+dwp+e4+e1+e2+1)^9")
+        code, out, err = run(capsys, "eval", str(f))
+        assert code == 0 and err == "" and out == f"{f}\n"
+        code, payload, _ = run_json(capsys, "eval", str(f))
+        assert code == 0 and QJForm({tuple(t["exponents"]): Fraction(t["coeff"]) for t in payload["result"]}) == f
 
     @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
     def test_result_beyond_the_int_string_limit(self, capsys, json_mode):

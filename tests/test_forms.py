@@ -65,6 +65,11 @@ class TestArithmetic:
         assert (-WP) ** 2 == WP**2
         assert WP**0 == ONE
 
+    def test_power_of_a_constant(self):
+        # A constant's power is one Fraction power, however large the exponent.
+        assert ONE**100_000_000 == ONE and (WP - WP) ** 100_000_000 == ZERO
+        assert ZERO**0 == ONE and QJForm.constant(Fraction(-2, 3)) ** 3 == Fraction(-8, 27)
+
     def test_invalid_exponents_rejected(self):
         with pytest.raises(ValueError):
             QJForm({(0, 0, -1, 0, 0): 1})

@@ -6,17 +6,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qjforms import DWP, E1, E2, E4, WP, Bracket, Derivation, QJForm, ScaledJForm, bracket, derive, e6_form
+from qjforms import DWP, E1, E2, E4, WP, ZERO, Bracket, Derivation, QJForm, ScaledJForm, bracket, derive, e6_form, forms
 from qjforms.parser import (
-    Add,
     Call,
     EvalError,
     Lit,
-    Mul,
     ParseError,
     Pow,
-    Sub,
+    Product,
+    Sum,
     Var,
     evaluate,
     parse,
@@ -30,17 +30,34 @@ F = Fraction
 class TestParse:
     def test_pow_sub_tree(self):
         tree = parse("wp^2 - 5*e4")
-        assert tree == Sub(Pow(Var("wp"), 2), Mul(Lit(F(5)), Var("e4")))
+        assert tree == Sum(((1, Pow(Var("wp"), 2)), (-1, Product((Lit(F(5)), Var("e4"))))))
+        # A run of + and - or of * is one node, a run of one operand stays that
+        # operand, and unary minus is a one-term Sum.
+        assert parse("wp - e4 + e2") == Sum(((1, Var("wp")), (-1, Var("e4")), (1, Var("e2"))))
+        assert parse("wp*e4*e2") == Product((Var("wp"), Var("e4"), Var("e2")))
+        assert parse("(wp)") == Var("wp") and parse("-wp") == Sum(((-1, Var("wp")),))
 
     def test_nodes_are_immutable_values(self):
         a, b = Var("wp"), Lit(F(5))
-        assert Add(a, b) == Add(Var("wp"), Lit(F(5))) and hash(Add(a, b)) == hash(Add(a, b))
-        assert Add(a, b) != Sub(a, b) and Add(a, b) != Add(b, a)
+        s = Sum(((1, a), (-1, b)))
+        assert s == Sum(((1, Var("wp")), (-1, Lit(F(5))))) and hash(s) == hash(Sum(((1, a), (-1, b))))
+        assert s != Sum(((1, a), (1, b))) and s != Sum(((-1, b), (1, a)))
+        assert Product((a, b)) != Product((b, a)) and Product((a, b)) != Sum((a, b))
         with pytest.raises(AttributeError):
-            Add(a, b).left = b
-        tree = parse("rc(e4, wp^2, 1) - 5")
+            s.terms = ((1, b),)
+        with pytest.raises(AttributeError):
+            Product((a, b)).factors = (b, a)
+        tree = parse("rc(e4, wp^2, 1) - 5*e2")
         assert copy.deepcopy(tree) == tree and pickle.loads(pickle.dumps(tree)) == tree
         assert repr(Pow(a, 2)) == "Pow(base=Var(name='wp'), exponent=2)"
+        assert repr(parse("-wp")) == "Sum(terms=((-1, Var(name='wp')),))"
+
+    def test_whole_input_parsed_before_evaluation(self, monkeypatch):
+        # A syntax error after an expensive call is reported without evaluating the call.
+        monkeypatch.setattr("qjforms.parser.evaluate", lambda expr: pytest.fail("evaluated before parsing ended"))
+        with pytest.raises(ParseError) as err:
+            parse_and_evaluate("eis(1000) +* e4")
+        assert err.value.position == 11
 
     def test_bracket_call(self):
         tree = parse("rc(e4, wp, 1)")
@@ -170,5 +187,54 @@ class TestRoundTrip:
             f = random_form(rng, rng.randint(1, 12))
             if f is not None:
                 cases.append(f)
-        for f in cases:
-            assert parse_and_evaluate(str(f)) == f
+        pairs = [(str(f), f) for f in cases]
+        # Flat runs of any length are one node each, so they evaluate under
+        # the default recursion limit.
+        big = (WP + DWP + E4 + E1 + E2 + 1) ** 9
+        assert len(big) == 2002
+        pairs += [(str(big), big), (" + ".join(["wp"] * 5000), 5000 * WP), ("*".join(["e1"] * 3000), E1**3000)]
+        for text, f in pairs:
+            assert parse_and_evaluate(text) == f
+
+
+# Small random forms, of mixed weights across a list.
+_FORMS = st.builds(
+    lambda seed, weight: random_form(random.Random(seed), weight, max_terms=4), st.integers(0, 2**32), st.integers(1, 6)
+)
+
+
+class TestNarySum:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from((1, -1)), _FORMS), min_size=1, max_size=10), st.data())
+    def test_matches_binary_fold(self, terms, data):
+        # The independent route: a left fold through QJForm.__add__ and __sub__.
+        fold = ZERO
+        for sign, f in terms:
+            fold = fold + f if sign == 1 else fold - f
+        trees = [(sign, parse(str(f))) for sign, f in terms]
+        assert evaluate(Sum(tuple(trees))) == fold
+        # The same run as text: a leading minus is a unary minus.
+        text = ("-" if terms[0][0] == -1 else "") + " ".join(
+            [f"({terms[0][1]})"] + [f"{'+' if sign == 1 else '-'} ({f})" for sign, f in terms[1:]]
+        )
+        assert parse_and_evaluate(text) == fold
+        assert evaluate(Sum(tuple(trees + [(-sign, tree) for sign, tree in trees]))) == ZERO
+        # q(...) is a top-level result only, wherever it sits in a run.
+        at = data.draw(st.integers(0, len(trees)))
+        scaled = parse("q(e2, 1, 0)")
+        with pytest.raises(EvalError):
+            evaluate(Sum(tuple(trees[:at] + [(data.draw(st.sampled_from((1, -1))), scaled)] + trees[at:])))
+        factors = [tree for _, tree in trees]
+        with pytest.raises(EvalError):
+            evaluate(Product(tuple(factors[:at] + [scaled] + factors[at:])))
+
+    def test_one_canonicalisation_per_sum(self, monkeypatch):
+        # An n-term sum builds one numerator dict and makes one form of it,
+        # where a binary fold would make n - 1.
+        text = " - ".join(["wp + e4", "e1 + dwp", "e2"] * 100)
+        expected = -98 * WP + 100 * (E4 + DWP - E1 - E2)
+        made = []
+        make = forms._make
+        monkeypatch.setattr(forms, "_make", lambda num, den: made.append(den) or make(num, den))
+        value = parse_and_evaluate(text)
+        assert len(made) == 1 and value == expected
