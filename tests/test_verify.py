@@ -203,6 +203,15 @@ def tv_last_term_dropped(terms):
     return mutant
 
 
+def tv_weight_dependent(terms):
+    # (-1)^r C(n, r) + r*k: equal to the table at k = 0, so only the weight grid sees it.
+    def mutant(tag, k, l, n):
+        out = terms(tag, k, l, n)
+        return [(c + r * k, a, b) for r, (c, a, b) in enumerate(out)] if tag is Bracket.TV else out
+
+    return mutant
+
+
 TABLE_MUTANTS = [
     (
         rc_binomial_shifted,
@@ -229,12 +238,6 @@ TABLE_MUTANTS = [
         "value:tv_e2_e1",
     ),
     (
-        tv_order_one_doubled,
-        "tv:e1_transfer_identity",
-        "Bracket.TV e1-transfer identity fails at n=2, weights (0, 0, 0)",
-        "value:tv_e2_e1",
-    ),
-    (
         rc_binomial_shifted,
         "rc:theta_tower",
         "Bracket.RC_TAU theta-tower identity fails at n=1, weights (0, 1)",
@@ -246,6 +249,12 @@ TABLE_MUTANTS = [
         "Bracket.TV table is not (D x Z - Z x D)^n at n=2, weights (0, 0)",
         "tv:recurrence_equals_formula",
     ),
+    (
+        tv_weight_dependent,
+        "tv:binomial_table",
+        "Bracket.TV table is not (D x Z - Z x D)^n at n=1, weights (1, 0)",
+        "tv:recurrence_equals_formula",
+    ),
 ]
 
 # The checks decided on the symbols of the coefficient table, and the cells of
@@ -254,7 +263,6 @@ STABILITY_CELLS = tuple(f"stability:{tag.value}/{alg.value}" for tag in Bracket 
 DECIDED_BRACKET_CHECKS = (
     "rc:theta_tower",
     "tv:binomial_table",
-    "tv:e1_transfer_identity",
     "symmetry:minus_one_n",
     "weight_shift:brackets",
     "associativity:tv",
@@ -310,9 +318,9 @@ def run_spied_suites(monkeypatch):
         "tv_powers",
         "rc_associativity",
         "tv_associativity",
-        "tv_e1_transfer",
         "rc_theta_tower",
         "tv_binomial_table",
+        "tv_weight_dependent",
     ],
 )
 def test_decided_bracket_check_names_the_mutated_table(monkeypatch, run_spied_suites, mutate, name, detail, value):
@@ -328,6 +336,91 @@ def test_decided_bracket_checks_draw_no_forms(run_spied_suites):
     assert all(checks[name].ok for name in DECIDED_BRACKET_CHECKS)
     assert "tv:recurrence_equals_formula" in drawing  # the spy sees the sampled checks draw
     assert drawing.isdisjoint(DECIDED_BRACKET_CHECKS) and None not in drawing
+
+
+def spy_on_decide(monkeypatch, law_spy):
+    """Runs each law `_decide` is given through `law_spy(failure, law)`."""
+    decide = verify._decide
+
+    def spied(failure, tags, orders, arity, law):
+        return decide(failure, tags, orders, arity, law_spy(failure, law))
+
+    monkeypatch.setattr(verify, "_decide", spied)
+
+
+def test_weight_free_tables_are_decided_at_one_point(monkeypatch):
+    # The tv coefficients do not read the weights, so each tv law visits the
+    # weights (0, ..., 0) once per order; rc and rcd laws visit {0..n}^arity.
+    visits = {}
+
+    def recording(failure, law):
+        def recorded(tag, b, bases, n):
+            visits.setdefault((failure, tag), {}).setdefault(n, []).append(tuple(w for *_, w in bases))
+            return law(tag, b, bases, n)
+
+        return recorded
+
+    spy_on_decide(monkeypatch, recording)
+    results = verify.run_suites(BRACKET_SUITES, quick=True)
+    assert all(c.ok for checks in results.values() for c in checks)
+    for (failure, tag), by_order in visits.items():
+        for n, points in by_order.items():
+            arity = len(points[0])
+            grid = [(0,) * arity] if tag is Bracket.TV else list(product(range(n + 1), repeat=arity))
+            assert points == grid, (failure, tag, n)
+    orders = {key: list(by_order) for key, by_order in visits.items()}
+    assert orders[("table is not (D x Z - Z x D)^n", Bracket.TV)] == list(range(1, 9))
+    assert orders[("associativity fails", Bracket.TV)] == list(range(9))
+    for tag in (Bracket.RC_TAU, Bracket.RC_D):
+        assert orders[("associativity fails", tag)] == list(range(5))
+        assert orders[("theta-tower identity fails", tag)] == list(range(1, 5))
+
+
+def e1_transfer(tag, tv, bases, n):
+    # The retired check tv:e1_transfer_identity, kept as the reference: moving
+    # a factor e1 (a generic base form) across the transvectant slots differs
+    # by lower order brackets.
+    (f, g, e1), sign = bases, (-1) ** (n - 1)
+    terms = [(1, tv(tv(f, e1, 0), g, n)), (-1, tv(f, tv(g, e1, 0), n)), (-1, tv(f, tv(e1, g, n), 0))]
+    terms += [(-sign, tv(g, tv(e1, f, n), 0))] + [(comb(n, i), tv(tv(f, e1, i), g, n - i)) for i in range(1, n)]
+    terms += [(comb(n, i) * sign, tv(tv(g, e1, i), f, n - i)) for i in range(1, n)]
+    return verify._poly_sum((c, x[0]) for c, x in terms)
+
+
+def tv_symmetric_shift(delta):
+    # From order 2 on, adds delta at r = 1 and (-1)^n delta at r = n - 1: the
+    # table keeps [f, g]_n = (-1)^n [g, f]_n but is no longer a power.
+    def mutate(terms):
+        def mutant(tag, k, l, n):
+            out = terms(tag, k, l, n)
+            if tag is not Bracket.TV or n < 2:
+                return out
+            shift = [0] * (n + 1)
+            shift[1] += delta
+            shift[n - 1] += (-1) ** n * delta
+            return [(c + s, a, b) for s, (c, a, b) in zip(shift, out)]
+
+        return mutant
+
+    return mutate
+
+
+@pytest.mark.parametrize("delta", [1, 3])
+def test_associativity_decides_the_e1_transfer(monkeypatch, delta):
+    # Rewritten by {a, b}_m = (-1)^m {b, a}_m, the associativity defect at
+    # (f, e1, g), sum_r C(n, r) ({{f, e1}_r, g}_(n-r) - {f, {e1, g}_r}_(n-r)),
+    # is the e1-transfer symbol term for term.  Under a table that keeps the
+    # symmetry but breaks associativity the two stay equal, and nonzero.
+    laws = {}
+    spy_on_decide(monkeypatch, lambda failure, law: laws.setdefault(failure, law))
+    verify.suite_deformations(random.Random(0), True)
+    mutate_table(monkeypatch, tv_symmetric_shift(delta))
+    b = partial(verify._symbol_bracket, Bracket.TV, memo={})
+    f, e1, g = [({0: 1}, ((2 * i,), (2 * i + 1,)), 0) for i in range(3)]
+    for n in range(1, 9):
+        defect = laws["associativity fails"](Bracket.TV, b, [f, e1, g], n)
+        assert e1_transfer(Bracket.TV, b, [f, g, e1], n) == defect, n
+        assert bool(defect) == (n >= 2), n
 
 
 # The tuple-key symbol engine that packed keys replaced, kept as the
