@@ -1,7 +1,8 @@
 """Exact arithmetic helpers: Bernoulli numbers, divisor sums, binomials.
 
-All values are exact and memoized.  The memos (``lru_cache``, a Bernoulli table that
-is only ever rebound) are safe under concurrent use: a race can only repeat work.
+All values are exact and memoized, and the memos of ``bernoulli`` and ``sigma`` are the one cache of
+the Eisenstein constants that ``series`` reads.  The memos (``lru_cache``, a Bernoulli table that is
+only ever rebound) are safe under concurrent use: a race can only repeat work.
 """
 
 from __future__ import annotations

@@ -218,15 +218,24 @@ class Algebra(Enum):
     JSINF = "JSinf"
 
 
-# Per algebra: whether its monomials may use e2 and e1, and whether its
-# forms must also be dz-constants (M and Minf; see member).
-_MEMBERSHIP: dict[Algebra, tuple[bool, bool, bool]] = {
-    Algebra.JSINF: (True, True, False),
-    Algebra.JSINF0: (True, False, False),
-    Algebra.JS0INF: (False, True, False),
-    Algebra.JS: (False, False, False),
-    Algebra.M: (False, False, True),
-    Algebra.MINF: (True, False, True),
+# Generating sets, ordered as the structure theorems list them.
+ALGEBRA_GENERATORS: dict[Algebra, tuple[tuple[str, QJForm], ...]] = {
+    Algebra.M: (("e4", E4), ("e6", e6_form())),
+    Algebra.MINF: (("e4", E4), ("e6", e6_form()), ("e2", E2)),
+    Algebra.JS: (("wp", WP), ("dwp", DWP), ("e4", E4)),
+    Algebra.JS0INF: (("wp", WP), ("dwp", DWP), ("e4", E4), ("e1", E1)),
+    Algebra.JSINF0: (("wp", WP), ("dwp", DWP), ("e4", E4), ("e2", E2)),
+    Algebra.JSINF: (("wp", WP), ("dwp", DWP), ("e4", E4), ("e1", E1), ("e2", E2)),
+}
+
+# Per algebra, from its generating set: the generators among e2 and e1 that none
+# of its generators uses, and whether dz kills them all (M and Minf; see member).
+_MEMBERSHIP: dict[Algebra, tuple[tuple[Generator, ...], bool]] = {
+    algebra: (
+        tuple(x for x in (Generator.EE2, Generator.EE1) if not any(gen.uses(x) for _, gen in gens)),
+        not any(leibniz(_TABLES[Derivation.DZ], gen) for _, gen in gens),
+    )
+    for algebra, gens in ALGEBRA_GENERATORS.items()
 }
 
 
@@ -236,13 +245,13 @@ def monomials_of_weight(k: int, algebra: Algebra = Algebra.JSINF) -> list[Expone
     Only the four monomial subalgebras are supported; M and Minf are not
     spanned by monomials in these generators.
     """
-    allow_e, allow_d, dz_constant = _MEMBERSHIP[algebra]
+    excluded, dz_constant = _MEMBERSHIP[algebra]
     if dz_constant:
         raise ValueError("M and Minf are not monomial subalgebras of the five generators")
     out: list[Exponents] = []
-    for e in range((k // 2 if allow_e else 0) + 1):
+    for e in range((0 if Generator.EE2 in excluded else k // 2) + 1):
         we = k - 2 * e
-        for d in range((we if allow_d else 0) + 1):
+        for d in range((0 if Generator.EE1 in excluded else we) + 1):
             wd = we - d
             for c in range(wd // 4 + 1):
                 wc = wd - 4 * c
@@ -265,10 +274,9 @@ def member(f: QJForm, algebra: Algebra) -> bool:
     the same holds for every e2-power of a form in JSinf0.
     """
     try:
-        allow_e, allow_d, dz_constant = _MEMBERSHIP[algebra]
+        excluded, dz_constant = _MEMBERSHIP[algebra]
     except KeyError:
         raise ValueError(f"unknown algebra {algebra!r}") from None
-    excluded = [g for g, allowed in ((Generator.EE2, allow_e), (Generator.EE1, allow_d)) if not allowed]
     if f.uses(*excluded):
         return False
     # dz by its table, not through the derive memo that bracket towers share.
@@ -282,17 +290,6 @@ class StabilityReport(Value):
 
     def __init__(self, closed: bool, witness: str | None = None) -> None:
         super().__init__(closed, witness)
-
-
-# Generating sets, ordered as the structure theorems list them.
-ALGEBRA_GENERATORS: dict[Algebra, tuple[tuple[str, QJForm], ...]] = {
-    Algebra.M: (("e4", E4), ("e6", e6_form())),
-    Algebra.MINF: (("e4", E4), ("e6", e6_form()), ("e2", E2)),
-    Algebra.JS: (("wp", WP), ("dwp", DWP), ("e4", E4)),
-    Algebra.JS0INF: (("wp", WP), ("dwp", DWP), ("e4", E4), ("e1", E1)),
-    Algebra.JSINF0: (("wp", WP), ("dwp", DWP), ("e4", E4), ("e2", E2)),
-    Algebra.JSINF: (("wp", WP), ("dwp", DWP), ("e4", E4), ("e1", E1), ("e2", E2)),
-}
 
 
 def check_stability(algebra: Algebra, tag: Derivation) -> StabilityReport:

@@ -66,8 +66,8 @@ def _emit(args: argparse.Namespace, result, text, ok: bool = True, errors: list[
     return 0 if ok else 1
 
 
-class UsageError(ValueError):
-    """A command line that the README's usage does not allow (exit 2)."""
+class UsageError(argparse.ArgumentTypeError):
+    """A command line that the README's usage does not allow (exit 2); argparse reports it from a type."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,10 +147,12 @@ def _cmd_dim(args) -> int:
 
 
 def _parse_int(text: str, role: str, minimum: int | None = 0) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise UsageError(f"{role} must be an integer, got {text!r}") from None
+    # An optional '-' and ASCII digits, as an expression reads an integer:
+    # int() alone also reads '+3', ' 12 ', '1_2' and other scripts' digits.
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise UsageError(f"{role} must be an integer, got {text!r}")
+    value = int(text)
     if minimum is not None and value < minimum:
         raise UsageError(f"{role} must be at least {minimum}, got {value}")
     return value
@@ -274,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", nargs="?", default="all", type=_suite_name, help="suite name (default: all)")
-    p.add_argument("--seed", type=int, default=20240801)
+    p.add_argument("--seed", type=lambda text: _parse_int(text, "SEED", None), default=20240801)
     p.add_argument("--quick", action="store_true", help="smaller randomized batteries")
     p.set_defaults(func=_cmd_verify)
 

@@ -242,15 +242,13 @@ def series_equal(a: BigradedSeries, b: BigradedSeries, min_window: int = 1) -> b
     return True
 
 
-# Memo sizes, above the working sets measured from cleared memos: ``qjalg verify oracle`` (seeds
-# 20240801, 1, 2, 3) fills 110-120 monomials, 111-118 generator powers and 112 Eisenstein coefficients;
-# the benchmark's series items (seed 424242) 143/140/96 in 95 oracle rounds, and 336/260/96 in 3000.
-MONOMIAL_CACHE_SIZE = 512
-POWER_CACHE_SIZE = 512
-EISENSTEIN_CACHE_SIZE = 512
+# Size of the two series memos, above the working sets measured from cleared memos: ``qjalg verify oracle``
+# (seeds 20240801, 1, 2, 3) fills 110-120 monomials and 111-118 generator powers, the benchmark's series
+# items (seed 424242) 143/140 in 95 oracle rounds and 336/260 in 3000.  No memo here holds an Eisenstein
+# constant: the memos of arith.bernoulli and arith.sigma are their one cache.
+CACHE_SIZE = 512
 
 
-@lru_cache(maxsize=EISENSTEIN_CACHE_SIZE)
 def _eisenstein_coeff(k: int, m: int) -> Fraction:
     # q^m coefficient of ee_k = e_k / pi^k: 2^k |B_k| / k! at m = 0, and the
     # Fourier coefficient (-1)^(k/2) 2^(k+1) sigma_(k-1)(m) / (k-1)! beyond.
@@ -295,7 +293,7 @@ _GENERATORS = (
 )
 
 
-@lru_cache(maxsize=POWER_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _generator_power(gen: int, p: int, q_prec: int, span: int) -> BigradedSeries:
     """The p-th power (p >= 1) of generator ``gen``, on a u-window of ``span + 1`` exponents.
 
@@ -310,7 +308,7 @@ def _generator_power(gen: int, p: int, q_prec: int, span: int) -> BigradedSeries
     return series_mul(half, half)
 
 
-@lru_cache(maxsize=MONOMIAL_CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE)
 def _monomial_series(expos: tuple[int, int, int, int, int], q_prec: int, u_max: int) -> BigradedSeries:
     a, b, _, d, _ = expos
     u_val = -2 * a - 3 * b - d

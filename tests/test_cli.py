@@ -221,6 +221,39 @@ class TestExpand:
         assert code == 1
 
 
+class TestIntegerArguments:
+    # An integer argument is an optional '-' and ASCII digits, as in an
+    # expression; int() alone reads each of these values.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dim", "DS", "\u0663"),
+            ("dim", "DS", "1_2"),
+            ("dim", "DS", "+3"),
+            ("dim", "DS", " 12 "),
+            ("bracket", "rc", "wp", "e4", "\u0662"),
+            ("expand", "wp", "--qprec", "\u0662"),
+            ("verify", "--seed", "\u0663"),
+            ("verify", "--seed", "+3"),
+        ],
+        ids=["arabic_indic", "underscore", "plus", "padded", "bracket_order", "qprec", "seed", "seed_plus"],
+    )
+    def test_only_ascii_digits(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and repr(argv[-1]) in err
+
+    def test_env_default_reads_only_ascii_digits(self, capsys, monkeypatch):
+        monkeypatch.setenv("QJALG_UMAX", "\u0664")
+        code, out, err = run(capsys, "expand", "wp")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "QJALG_UMAX" in err and err.count("\n") == 1
+
+    def test_negative_and_large_integers_still_read(self, capsys):
+        assert run(capsys, "expand", "wp", "--qprec", "1", "--umax", "-2")[1].endswith("q^0 u^-2\t1\n")
+        assert run(capsys, "dim", "DS", "0" * 30 + "12")[1] == "7\n"
+
+
 def refuse(*args):
     raise AssertionError("built the output that is not printed")
 

@@ -324,8 +324,9 @@ class TestMonomials:
         assert set(monomials_of_weight(1)) == {(0, 0, 0, 1, 0)}
 
     def test_m_is_not_monomial(self):
-        with pytest.raises(ValueError):
-            monomials_of_weight(4, Algebra.M)
+        for algebra in (Algebra.M, Algebra.MINF):
+            with pytest.raises(ValueError):
+                monomials_of_weight(4, algebra)
 
 
 class TestRendering:

@@ -183,7 +183,7 @@ class TestGeneratorPowers:
 
 # The memoised functions of series.py, with the largest working set seen in
 # the benchmark's series items and in `qjalg verify oracle`.
-MEMOS = ("_monomial_series", "_generator_power", "_eisenstein_coeff")
+MEMOS = ("_monomial_series", "_generator_power")
 
 
 def _oracle_sweep() -> None:
@@ -222,6 +222,16 @@ class TestMemoBounds:
         _oracle_sweep()
         assert [fn.cache_info().misses for fn in memos] == [info.misses for info in first]
 
+    def test_arith_memos_serve_the_eisenstein_constants(self):
+        # wp to u^6 reads ee_4, ee_6, ee_8 at q^0..q^2: three Bernoulli
+        # numbers and six divisor sums.  Series keeps no memo in front of
+        # arith, so wp to u^10 finds all nine in the arith memos.
+        for fn in (arith.sigma, arith.bernoulli, series._generator_power, series._monomial_series):
+            fn.cache_clear()
+        expand(WP, 3, 6)
+        expand(WP, 3, 10)
+        assert (arith.sigma.cache_info().hits, arith.bernoulli.cache_info().hits) == (6, 3)
+
 
 class TestTopWeightFirst:
     # The Laurent generators ask _eisenstein_coeff for their top weight first,
@@ -230,7 +240,7 @@ class TestTopWeightFirst:
     @pytest.fixture(autouse=True)
     def cold_tables(self, monkeypatch):
         monkeypatch.setattr(arith, "_even_bernoulli", [])
-        for fn in (arith.bernoulli, series._eisenstein_coeff, series._generator_power, series._monomial_series):
+        for fn in (arith.bernoulli, series._generator_power, series._monomial_series):
             fn.cache_clear()
 
     def test_e1_builds_the_table_once(self):
