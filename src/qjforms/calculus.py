@@ -218,25 +218,32 @@ class Algebra(Enum):
     JSINF = "JSinf"
 
 
+class _ByAlgebra(dict):
+    """A table keyed by Algebra: any other key is a ValueError, not a KeyError."""
+
+    def __missing__(self, algebra):
+        raise ValueError(f"unknown algebra {algebra!r}")
+
+
 # Generating sets, ordered as the structure theorems list them.
-ALGEBRA_GENERATORS: dict[Algebra, tuple[tuple[str, QJForm], ...]] = {
+ALGEBRA_GENERATORS: dict[Algebra, tuple[tuple[str, QJForm], ...]] = _ByAlgebra({
     Algebra.M: (("e4", E4), ("e6", e6_form())),
     Algebra.MINF: (("e4", E4), ("e6", e6_form()), ("e2", E2)),
     Algebra.JS: (("wp", WP), ("dwp", DWP), ("e4", E4)),
     Algebra.JS0INF: (("wp", WP), ("dwp", DWP), ("e4", E4), ("e1", E1)),
     Algebra.JSINF0: (("wp", WP), ("dwp", DWP), ("e4", E4), ("e2", E2)),
     Algebra.JSINF: (("wp", WP), ("dwp", DWP), ("e4", E4), ("e1", E1), ("e2", E2)),
-}
+})
 
 # Per algebra, from its generating set: the generators among e2 and e1 that none
 # of its generators uses, and whether dz kills them all (M and Minf; see member).
-_MEMBERSHIP: dict[Algebra, tuple[tuple[Generator, ...], bool]] = {
+_MEMBERSHIP: dict[Algebra, tuple[tuple[Generator, ...], bool]] = _ByAlgebra({
     algebra: (
         tuple(x for x in (Generator.EE2, Generator.EE1) if not any(gen.uses(x) for _, gen in gens)),
         not any(leibniz(_TABLES[Derivation.DZ], gen) for _, gen in gens),
     )
     for algebra, gens in ALGEBRA_GENERATORS.items()
-}
+})
 
 
 def monomials_of_weight(k: int, algebra: Algebra = Algebra.JSINF) -> list[Exponents]:
@@ -273,10 +280,7 @@ def member(f: QJForm, algebra: Algebra) -> bool:
     dz(f) = 0 exactly when B = 0 and A lies in Q[e4, e6] = M.  As dz(e2) = 0,
     the same holds for every e2-power of a form in JSinf0.
     """
-    try:
-        excluded, dz_constant = _MEMBERSHIP[algebra]
-    except KeyError:
-        raise ValueError(f"unknown algebra {algebra!r}") from None
+    excluded, dz_constant = _MEMBERSHIP[algebra]
     if f.uses(*excluded):
         return False
     # dz by its table, not through the derive memo that bracket towers share.
@@ -359,6 +363,8 @@ def eisenstein_in_generators(two_n: int, method: EisensteinMethod = EisensteinMe
     """The weight-2n Eisenstein form expressed in the JS generators wp, dwp, e4."""
     if two_n % 2 != 0 or two_n < 4:
         raise ValueError("Eisenstein reduction requires an even weight >= 4")
+    if not isinstance(method, EisensteinMethod):
+        raise ValueError(f"unknown Eisenstein method {method!r}")
     if method is EisensteinMethod.GUNTHER:
         return _gunther_e(two_n)
     n = two_n // 2 - 1

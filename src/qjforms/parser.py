@@ -4,16 +4,18 @@ Grammar (whitespace insensitive, identifiers case insensitive):
 
     expr     := term (("+" | "-") term)*
     term     := unary ("*" unary)*
-    unary    := "-" unary | power
-    power    := atom ("^" exponent)?
-    atom     := rational | IDENT | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
+    unary    := "-"* power
+    power    := atom ("^" integer)?
+    atom     := rational | IDENT | IDENT "(" arg ("," arg)* ")" | "(" expr ")"
+    arg      := expr | integer
+    integer  := "-"? rational | "(" "-"? rational ")"
     rational := INT ("/" INT)?
 
 Precedence is ^ over unary minus over * over binary +/-.  A run of + and -
-is one n-ary ``Sum`` of (sign, operand) pairs and a run of * one ``Product``,
-so a flat sum or product of any length adds no nesting; unary minus is a
-one-term ``Sum``.  Exponents and the trailing integer arguments of rc, rcd, tv,
-q and eis must be nonnegative integer literals.
+is one n-ary ``Sum`` of (sign, operand) pairs, a run of * one ``Product`` and
+a run of unary minus one sign, so no run adds nesting.  A call takes its forms,
+then its integer arguments (rc, rcd, tv: n; q: j1, j2; eis: 2n), read by the
+exponent's nonnegative ``integer`` rule with errors that name them by position.
 """
 
 from __future__ import annotations
@@ -171,10 +173,12 @@ class _Parser:
         return Product(tuple(factors)) if len(factors) > 1 else factors[0]
 
     def unary(self) -> Expr:
-        if self.peek()[0] == "-":
+        negate = False
+        while self.peek()[0] == "-":
             self.advance()
-            return Sum(((-1, self.unary()),))
-        return self.power()
+            negate = not negate
+        node = self.power()
+        return Sum(((-1, node),)) if negate else node
 
     def power(self) -> Expr:
         node = self.atom()
@@ -241,34 +245,22 @@ class _Parser:
             if self.peek()[0] == "(":
                 if name not in _functions():
                     raise ParseError(f"unknown function {name!r}", tok[2])
-                self.advance()
-                args: list = [(self.peek()[2], self.expr())]  # (offset, argument)
-                while self.peek()[0] == ",":
+                n_forms, n_ints, _ = _functions()[name]
+                args: list = []
+                while not args or self.peek()[0] == ",":  # the forms, then the integers
                     self.advance()
-                    args.append((self.peek()[2], self.expr()))
+                    i = len(args) + 1  # past the integers: an arity error below
+                    integer = n_forms < i <= n_forms + n_ints
+                    args.append(self._integer_literal(f"argument {i} of {name}") if integer else self.expr())
                 self.expect(")")
-                return self._make_call(name, args, tok[2])
+                if len(args) != n_forms + n_ints:
+                    raise ParseError(f"{name} takes {n_forms + n_ints} argument(s), got {len(args)}", tok[2])
+                return Call(name, tuple(args))
             if name not in _VARIABLES:
                 raise ParseError(f"unknown identifier {name!r}", tok[2])
             return Var(name)
         shown = tok[1] or "end of input"
         raise ParseError(f"unexpected {shown!r}", tok[2])
-
-    def _make_call(self, name: str, args: list, position: int) -> Call:
-        n_forms, n_ints, _ = _functions()[name]
-        if len(args) != n_forms + n_ints:
-            raise ParseError(
-                f"{name} takes {n_forms + n_ints} argument(s), got {len(args)}", position
-            )
-        converted = [arg for _, arg in args[:n_forms]]
-        for offset, arg in args[n_forms:]:
-            if not isinstance(arg, Lit) or arg.value.denominator != 1 or arg.value < 0:
-                raise ParseError(
-                    f"the trailing argument(s) of {name} must be nonnegative integer literals",
-                    offset,
-                )
-            converted.append(int(arg.value))
-        return Call(name, tuple(converted))
 
 
 def parse(text: str) -> Expr:

@@ -52,3 +52,10 @@ def test_laurent_matches_reference(two_n):
 @pytest.mark.parametrize("two_n", range(4, 62, 2))
 def test_gunther_matches_reference(two_n):
     assert eisenstein_in_generators(two_n, EisensteinMethod.GUNTHER) == ref_gunther_e(two_n)
+
+
+@pytest.mark.parametrize("method", ["gunther", "laurent", "foo"])
+def test_method_other_than_the_enum_is_a_value_error(method):
+    # A string, even a method's value, no longer falls through to the Laurent route.
+    with pytest.raises(ValueError, match=f"^unknown Eisenstein method '{method}'$"):
+        eisenstein_in_generators(8, method)

@@ -9,10 +9,12 @@ e4^i * e6^j of that weight, which span M_k.  Forms enter it through
 
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qjforms import (
-    E2, E4, ONE, WP, ZERO, Algebra, Derivation, Generator, QJForm, derive, e6_form, member, monomials_of_weight
+    E2, E4, ONE, WP, ZERO, Algebra, Derivation, Generator, QJForm, check_stability, derive, e6_form, member,
+    monomials_of_weight,
 )
 
 E6 = e6_form()
@@ -190,3 +192,15 @@ def test_presence_test_agrees_with_depth(f):
 def test_zero_form_uses_nothing_and_lies_in_every_algebra():
     assert not any(ZERO.uses(g) for g in Generator)
     assert all(member(ZERO, algebra) for algebra in Algebra)
+
+
+@pytest.mark.parametrize("name", ["JS", "XX"], ids=["enum_value", "unknown"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda a: member(WP, a), lambda a: monomials_of_weight(4, a), lambda a: check_stability(a, Derivation.DZ)],
+    ids=["member", "monomials_of_weight", "check_stability"],
+)
+def test_algebra_other_than_the_enum_is_a_value_error(call, name):
+    # A string, even an Algebra's value, is no Algebra, and none of the three reads it as a KeyError.
+    with pytest.raises(ValueError, match=f"^unknown algebra '{name}'$"):
+        call(name)

@@ -105,6 +105,20 @@ class TestExactness:
         assert offences == []
 
 
+
+class TestOldestPython:
+    # pyproject.toml declares requires-python >= 3.10. ast.parse with
+    # feature_version=(3, 10) rejects grammar added in 3.11 (such as except*),
+    # but it is best effort: it does not see library APIs added in 3.11.
+    def test_src_parses_as_python_3_10(self):
+        with pytest.raises(SyntaxError):
+            ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+        sources = sorted(Path(SRC, "qjforms").glob("*.py"))
+        assert {"parser.py", "cli.py"} <= {p.name for p in sources}
+        for path in sources:
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 class TestOracleIndependence:
     # The series oracle checks the form kernel, so it keeps its own product
     # loop and canonicaliser and takes from forms only the form type, whose

@@ -134,10 +134,58 @@ class TestParse:
     def test_call_arity(self):
         with pytest.raises(ParseError, match="takes 3 argument"):
             parse("rc(e4, wp)")
-        with pytest.raises(ParseError, match="nonnegative integer literals"):
+        with pytest.raises(ParseError, match="argument 3 of rc must be a nonnegative integer literal"):
             parse("rc(e4, wp, e2)")
-        with pytest.raises(ParseError, match="nonnegative integer literals"):
+        with pytest.raises(ParseError, match="non-integer argument 3 of q: 1/2"):
             parse("q(e2, 1, 1/2)")
+        # An argument past the integers is an arity error, whatever it is.
+        for text in ("rc(e4, wp, 1, e2)", "rc(e4, wp, 1, 2)", "dz(wp, 1)"):
+            with pytest.raises(ParseError, match="takes") as err:
+                parse(text)
+            assert err.value.position == 0
+
+    @pytest.mark.parametrize(
+        "text, value, message, position",
+        [
+            ("wp^2", 2, None, None),
+            ("wp^(2)", 2, None, None),
+            ("rc(wp, e4, 2)", 2, None, None),
+            ("rc(wp, e4, (2))", 2, None, None),
+            ("wp^-0", 0, None, None),
+            ("rc(wp, e4, -0)", 0, None, None),
+            ("wp^-1", None, "negative exponent: -1", 3),
+            ("wp^(-1)", None, "negative exponent: -1", 3),
+            ("rc(e4, wp, -1)", None, "negative argument 3 of rc: -1", 11),
+            ("rc(e4, wp, (-1))", None, "negative argument 3 of rc: -1", 11),
+            ("wp^(1/2)", None, "non-integer exponent: 1/2", 3),
+            ("q(e2, 1, 1/2)", None, "non-integer argument 3 of q: 1/2", 9),
+            ("wp^e2", None, "exponent must be a nonnegative integer literal", 3),
+            ("wp^((2))", None, "exponent must be a nonnegative integer literal", 4),
+            ("rc(wp, e4, ((2)))", None, "argument 3 of rc must be a nonnegative integer literal", 12),
+            ("tv(e4, wp, e2)", None, "argument 3 of tv must be a nonnegative integer literal", 11),
+            ("eis(e4)", None, "argument 1 of eis must be a nonnegative integer literal", 4),
+            ("eis()", None, "argument 1 of eis must be a nonnegative integer literal", 4),
+        ],
+    )
+    def test_exponents_and_call_indices_read_alike(self, text, value, message, position):
+        # One rule reads an exponent and a call's integer argument; its errors
+        # name the exponent or the argument by position.
+        if message is None:
+            tree = parse(text)
+            assert (tree.exponent if isinstance(tree, Pow) else tree.args[-1]) == value
+            return
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at offset {position})" and err.value.position == position
+
+    def test_unary_minus_run_is_one_sign(self):
+        # A run of unary minus folds to one sign, so its length adds no nesting.
+        assert parse("--wp") == Var("wp") and parse("---wp") == parse("-wp") == Sum(((-1, Var("wp")),))
+        assert parse_and_evaluate("-" * 5000 + "wp") == WP
+        assert parse_and_evaluate("-" * 5001 + "wp") == -WP
+        assert parse_and_evaluate("wp - --e4") == WP - E4
+        # Parentheses are real nesting and stay in the tree.
+        assert parse("-(-wp)") == Sum(((-1, Sum(((-1, Var("wp")),))),))
 
 
 class TestEvaluate:
