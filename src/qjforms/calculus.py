@@ -56,6 +56,13 @@ class Bracket(Enum):
     TV = "tv"
 
 
+class _ByTag(dict):
+    """A table keyed by one enum: any other key is a ValueError named after that enum."""
+
+    def __missing__(self, tag):
+        raise ValueError(f"unknown {type(next(iter(self))).__name__.lower()} {tag!r}")
+
+
 # Weight shift of each derivation and of the n-th bracket per unit n.
 DERIVATION_WEIGHT_SHIFT = {
     Derivation.DZ: 1,
@@ -65,9 +72,9 @@ DERIVATION_WEIGHT_SHIFT = {
     Derivation.DELTA: 0,
 }
 BRACKET_WEIGHT_SHIFT = {Bracket.RC_TAU: 2, Bracket.RC_D: 2, Bracket.TV: 3}
-BRACKET_DERIVATIONS = {
+BRACKET_DERIVATIONS = _ByTag({
     Bracket.RC_TAU: (Derivation.DTAU,), Bracket.RC_D: (Derivation.DJAC,), Bracket.TV: (Derivation.DTAU, Derivation.DZ)
-}
+})
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -91,13 +98,13 @@ _OB_IMAGES = tuple(
 _DJAC_IMAGES = tuple(t + _QUARTER * (E1 * z) for t, z in zip(_DTAU_IMAGES, _DZ_IMAGES))
 _DELTA_IMAGES = tuple(Fraction(w, 2) * x for w, x in zip(GENERATOR_WEIGHTS, _GENERATORS))
 
-_TABLES = {
+_TABLES = _ByTag({
     Derivation.DZ: ImageTable(_DZ_IMAGES),
     Derivation.DTAU: ImageTable(_DTAU_IMAGES),
     Derivation.OB: ImageTable(_OB_IMAGES),
     Derivation.DJAC: ImageTable(_DJAC_IMAGES),
     Derivation.DELTA: ImageTable(_DELTA_IMAGES),
-}
+})
 
 
 # Entries of the derive memo.  Forms are immutable and hash once, so every
@@ -115,10 +122,7 @@ def derive(tag: Derivation, f: QJForm) -> QJForm:
 
     Memoised by (tag, f) in a bounded LRU table; see ``derive.cache_info()``.
     """
-    table = _TABLES.get(tag)
-    if table is None:
-        raise ValueError(f"unknown derivation {tag!r}")
-    return leibniz(table, f)
+    return leibniz(_TABLES[tag], f)
 
 
 def bracket_terms(tag: Bracket, k: int, l: int, n: int) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
@@ -127,9 +131,10 @@ def bracket_terms(tag: Bracket, k: int, l: int, n: int) -> list[tuple[int, tuple
     The bracket of f and g is the sum of c * D^a f * D^b g, where D^a applies
     the derivations ``BRACKET_DERIVATIONS[tag]`` with the powers a.  This is
     the one statement of the bracket coefficients in the package; each c is a
-    polynomial of degree at most n in k and in l.  Orders n >= 1 only.
+    polynomial of degree at most n in k and in l.  Orders n >= 1 only; a tag
+    that is not a Bracket raises ValueError.
     """
-    if tag is Bracket.TV:
+    if len(BRACKET_DERIVATIONS[tag]) == 2:  # the transvectant's (dtau, dz)
         return [((-1) ** r * comb(n, r), (n - r, r), (r, n - r)) for r in range(n + 1)]
     return [((-1) ** r * comb(k + n - 1, n - r) * comb(l + n - 1, r), (r,), (n - r,)) for r in range(n + 1)]
 
@@ -158,9 +163,9 @@ def bracket(tag: Bracket, f: QJForm, g: QJForm, n: int) -> QJForm:
     """
     if n < 0:
         raise ValueError("bracket order must be nonnegative")
+    derivations = BRACKET_DERIVATIONS[tag]
     if n == 0:
         return f * g
-    derivations = BRACKET_DERIVATIONS[tag]
     fcomps = [(k, _derivatives(derivations, comp, n)) for k, comp in f.weight_components()]
     gcomps = [(l, _derivatives(derivations, comp, n)) for l, comp in g.weight_components()]
     return sum_of_products(
@@ -168,26 +173,28 @@ def bracket(tag: Bracket, f: QJForm, g: QJForm, n: int) -> QJForm:
     )
 
 
-def _recurrence(a: QJForm, b: QJForm, m: int, memo: dict[tuple[QJForm, QJForm, int], QJForm]) -> QJForm:
-    if (key := (a, b, m)) not in memo:  # leaves too: each one is reached from two parents
-        memo[key] = a * b if m == 0 else (
-            _recurrence(derive(Derivation.DTAU, a), derive(Derivation.DZ, b), m - 1, memo)
-            - _recurrence(derive(Derivation.DZ, a), derive(Derivation.DTAU, b), m - 1, memo)
-        )
-    return memo[key]
-
-
 def transvectant_by_recurrence(f: QJForm, g: QJForm, n: int) -> QJForm:
     """Transvectant via {f,g}_0 = fg and {f,g}_(m+1) = {df,g'}_m - {f',dg}_m.
 
     Independent of the binomial-sum formula in :func:`bracket`; the two must
-    agree for all orders.  The recursion revisits equal argument pairs (the
-    two primitive derivations commute), so results are memoized per call,
-    the order-0 products too: order n makes one product per distinct leaf.
+    agree for all orders.  The recurrence is unrolled level by level: each
+    level maps a pair (a, b) with multiplicity c to (dtau a, dz b) with +c
+    and (dz a, dtau b) with -c, merging pairs whose forms compare equal and
+    dropping zero multiplicities and pairs that hold a zero form.  Order n
+    is then one sum of products, one product per distinct pair left.
     """
     if n < 0:
         raise ValueError("bracket order must be nonnegative")
-    return _recurrence(f, g, n, {})
+    level = {(f, g): 1}
+    for _ in range(n):
+        grown: dict[tuple[QJForm, QJForm], int] = {}
+        for (a, b), c in level.items():
+            for x, y, s in ((Derivation.DTAU, Derivation.DZ, c), (Derivation.DZ, Derivation.DTAU, -c)):
+                pair = derive(x, a), derive(y, b)
+                if all(pair):
+                    grown[pair] = grown.get(pair, 0) + s
+        level = {pair: c for pair, c in grown.items() if c}
+    return sum_of_products((c, a, b) for (a, b), c in level.items())
 
 
 def star_truncated(tag: Bracket, f: QJForm, g: QJForm, order: int) -> list[QJForm]:
@@ -218,15 +225,8 @@ class Algebra(Enum):
     JSINF = "JSinf"
 
 
-class _ByAlgebra(dict):
-    """A table keyed by Algebra: any other key is a ValueError, not a KeyError."""
-
-    def __missing__(self, algebra):
-        raise ValueError(f"unknown algebra {algebra!r}")
-
-
 # Generating sets, ordered as the structure theorems list them.
-ALGEBRA_GENERATORS: dict[Algebra, tuple[tuple[str, QJForm], ...]] = _ByAlgebra({
+ALGEBRA_GENERATORS: dict[Algebra, tuple[tuple[str, QJForm], ...]] = _ByTag({
     Algebra.M: (("e4", E4), ("e6", e6_form())),
     Algebra.MINF: (("e4", E4), ("e6", e6_form()), ("e2", E2)),
     Algebra.JS: (("wp", WP), ("dwp", DWP), ("e4", E4)),
@@ -237,7 +237,7 @@ ALGEBRA_GENERATORS: dict[Algebra, tuple[tuple[str, QJForm], ...]] = _ByAlgebra({
 
 # Per algebra, from its generating set: the generators among e2 and e1 that none
 # of its generators uses, and whether dz kills them all (M and Minf; see member).
-_MEMBERSHIP: dict[Algebra, tuple[tuple[Generator, ...], bool]] = _ByAlgebra({
+_MEMBERSHIP: dict[Algebra, tuple[tuple[Generator, ...], bool]] = _ByTag({
     algebra: (
         tuple(x for x in (Generator.EE2, Generator.EE1) if not any(gen.uses(x) for _, gen in gens)),
         not any(leibniz(_TABLES[Derivation.DZ], gen) for _, gen in gens),

@@ -28,7 +28,7 @@ from qjforms import (
     star_truncated,
     transvectant_by_recurrence,
 )
-from qjforms import calculus
+from qjforms import calculus, forms
 from qjforms.arith import binomial
 from qjforms.verify import random_form, _random_form_retry
 
@@ -336,6 +336,31 @@ class TestBracketStabilityTheorems:
                 assert lhs == rhs
 
 
+def reference_recurrence(f: QJForm, g: QJForm, n: int) -> QJForm:
+    # The memoised recursion on the order that the level loop replaced: one
+    # subtraction per inner node (a, b, m), one product per distinct leaf.
+    memo: dict[tuple[QJForm, QJForm, int], QJForm] = {}
+
+    def rec(a: QJForm, b: QJForm, m: int) -> QJForm:
+        if (key := (a, b, m)) not in memo:
+            memo[key] = a * b if m == 0 else (
+                rec(derive(Derivation.DTAU, a), derive(Derivation.DZ, b), m - 1)
+                - rec(derive(Derivation.DZ, a), derive(Derivation.DTAU, b), m - 1)
+            )
+        return memo[key]
+
+    return rec(f, g, n)
+
+
+# Zero, constants, homogeneous forms and sums of two weights.
+recurrence_forms = st.one_of(
+    st.just(ZERO),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4).map(lambda c: c * ONE),
+    jsinf_forms(max_weight=4),
+    st.tuples(jsinf_forms(max_weight=2), jsinf_forms(max_weight=3)).map(lambda p: p[0] + p[1]),
+)
+
+
 class TestTransvectantRecurrence:
     def test_base_cases(self):
         assert transvectant_by_recurrence(WP, E1, 0) == WP * E1
@@ -354,26 +379,51 @@ class TestTransvectantRecurrence:
             for n in range(6):
                 assert transvectant_by_recurrence(f, g, n) == bracket(Bracket.TV, f, g, n)
 
+    @settings(max_examples=40, deadline=None)
+    @given(recurrence_forms, recurrence_forms)
+    def test_matches_reference_recursion(self, f, g):
+        for n in range(9):
+            got = transvectant_by_recurrence(f, g, n)
+            assert got == reference_recurrence(f, g, n), n
+            assert got == bracket(Bracket.TV, f, g, n), n
+
     def test_each_leaf_is_multiplied_once(self, monkeypatch):
         # Order n has n + 1 leaves (dtau^i dz^j wp, dz^i dtau^j dwp), i + j = n,
-        # whose first slots differ in weight; two parents reach each inner one.
+        # whose first slots differ in weight: one sum of n + 1 products, with
+        # no other product and no subtraction of forms.
         expected = {n: bracket(Bracket.TV, WP, DWP, n) for n in range(1, 6)}
-        products, mul = [], QJForm.__mul__
+        sums, products, combines = [], [], []
+        fused, mul, combine = calculus.sum_of_products, QJForm.__mul__, forms._combine
 
-        def counted(self, other):
-            if isinstance(other, QJForm):
-                products.append(other)
+        def spied_sum(terms):
+            sums.append(list(terms))
+            return fused(sums[-1])
+
+        def spied_mul(self, other):
+            products.append(other)
             return mul(self, other)
 
-        monkeypatch.setattr(QJForm, "__mul__", counted)
+        def spied_combine(*args):
+            combines.append(args)
+            return combine(*args)
+
+        monkeypatch.setattr(calculus, "sum_of_products", spied_sum)
+        monkeypatch.setattr(QJForm, "__mul__", spied_mul)
+        monkeypatch.setattr(forms, "_combine", spied_combine)
         for n in range(1, 6):
-            products.clear()
-            assert transvectant_by_recurrence(WP, DWP, n) == expected[n]
-            assert len(products) == n + 1, n
+            sums.clear()
+            got = transvectant_by_recurrence(WP, DWP, n)
+            assert (len(sums), len(sums[0]), products, combines) == (1, n + 1, [], []), n
+            assert got == expected[n]
+
+    def test_deep_orders_end_without_recursion(self):
+        # dz kills e2 and the constants, so every pair drops out at level 1.
+        assert transvectant_by_recurrence(ONE, WP, 5000) == ZERO
+        assert transvectant_by_recurrence(E2, E2, 5000) == ZERO
 
     def test_memo_leaves_no_forms_for_the_cyclic_collector(self):
-        # Whatever the call leaves unreachable must hold no form: the memo's
-        # forms are freed when the call returns, not at the next collection.
+        # Whatever the call leaves unreachable must hold no form: the forms of
+        # its levels are freed when the call returns, not at the next collection.
         f, g = WP * E1 + E4, DWP + E2 * E1
         gc.collect()
         gc.disable()
@@ -386,6 +436,22 @@ class TestTransvectantRecurrence:
             gc.set_debug(0)
             gc.garbage.clear()
             gc.enable()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, n: calculus.bracket_terms(t, 1, 1, n),
+        lambda t, n: bracket(t, WP, E1, n),
+        lambda t, n: star_truncated(t, WP, E1, n),
+    ],
+    ids=["bracket_terms", "bracket", "star_truncated"],
+)
+def test_bracket_other_than_the_enum_is_a_value_error(call, n):
+    # A string, even a Bracket's value, is no Bracket, at every order, order 0 too.
+    with pytest.raises(ValueError, match="^unknown bracket 'tv'$"):
+        call("tv", n)
 
 
 class TestStarTruncated:
